@@ -247,9 +247,17 @@ impl<'a> Lexer<'a> {
     }
 }
 
+/// Nesting limit across `(` groups, `a[…]` loads, `{` blocks and binary
+/// operator folds (each deepens the left-leaning tree a chain builds):
+/// far above any real program, and low enough that the recursive descent
+/// here and every pass over the tree it builds stay well inside a worker
+/// thread's stack on adversarial input.
+const MAX_DEPTH: usize = 256;
+
 struct Parser {
     toks: Vec<(Tok, usize, usize)>,
     pos: usize,
+    depth: usize,
     builder: WirBuilder,
     vars: BTreeMap<String, VarId>,
     arrays: BTreeMap<String, ArrId>,
@@ -308,6 +316,16 @@ impl Parser {
             Tok::Int(v) => Ok(v),
             other => Err(self.error(format!("expected integer, found {other:?}"))),
         }
+    }
+
+    /// Go one nesting level deeper, refusing past [`MAX_DEPTH`]. An error
+    /// abandons the whole parse, so only success paths climb back out.
+    fn descend(&mut self) -> Result<(), ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     fn lookup_var(&self, name: &str) -> Result<VarId, ParseError> {
@@ -400,6 +418,7 @@ impl Parser {
 
     fn parse_block(&mut self) -> Result<Vec<Stmt>, ParseError> {
         self.eat_sym("{")?;
+        self.descend()?;
         let mut out = Vec::new();
         while !matches!(self.peek(), Tok::Sym("}")) {
             if matches!(self.peek(), Tok::Eof) {
@@ -408,6 +427,7 @@ impl Parser {
             out.push(self.parse_stmt()?);
         }
         self.eat_sym("}")?;
+        self.depth -= 1;
         Ok(out)
     }
 
@@ -491,15 +511,20 @@ impl Parser {
     }
 
     fn parse_bin(&mut self, min_level: usize) -> Result<Expr, ParseError> {
+        // Each fold deepens the left-leaning tree, so it descends a level
+        // for the rest of the chain.
+        let outer = self.depth;
         let mut lhs = self.parse_primary()?;
         while let Tok::Sym(s) = self.peek() {
             let Some((level, op)) = Self::level_of(s).filter(|(l, _)| *l >= min_level) else {
                 break;
             };
             self.bump();
+            self.descend()?;
             let rhs = self.parse_bin(level + 1)?;
             lhs = Expr::bin(op, lhs, rhs);
         }
+        self.depth = outer;
         Ok(lhs)
     }
 
@@ -507,8 +532,10 @@ impl Parser {
         match self.bump() {
             Tok::Int(v) => Ok(Expr::Const(v)),
             Tok::Sym("(") => {
+                self.descend()?;
                 let e = self.parse_expr()?;
                 self.eat_sym(")")?;
+                self.depth -= 1;
                 Ok(e)
             }
             Tok::Ident(name) => {
@@ -518,8 +545,10 @@ impl Parser {
                         .get(&name)
                         .ok_or_else(|| self.error(format!("unknown array `{name}`")))?;
                     self.bump();
+                    self.descend()?;
                     let idx = self.parse_expr()?;
                     self.eat_sym("]")?;
+                    self.depth -= 1;
                     Ok(Expr::Load(arr, Box::new(idx)))
                 } else {
                     Ok(Expr::Var(self.lookup_var(&name)?))
@@ -550,6 +579,7 @@ pub fn parse_wir(src: &str) -> Result<ParsedProgram, ParseError> {
     let mut p = Parser {
         toks,
         pos: 0,
+        depth: 0,
         builder: WirBuilder::new(),
         vars: BTreeMap::new(),
         arrays: BTreeMap::new(),
@@ -843,6 +873,45 @@ mod tests {
 
         let err = parse_wir("var x = 0; x = (1 + 2;").unwrap_err();
         assert!(err.message.contains("expected `)`"), "{err}");
+    }
+
+    /// `out = ((…1…))` with `parens` parens, `ifs` nested `if`s,
+    /// `out = a[a[…0…]]` with `loads` loads, and `out = 0 | 0 | … | 1`
+    /// with `ors` operators.
+    fn deep_sources(parens: usize, ifs: usize, loads: usize, ors: usize) -> [String; 4] {
+        let (open, close) = ("(".repeat(parens), ")".repeat(parens));
+        let parens = format!("var out = 0; out = {open}1{close}; output out;");
+        let (open, close) = ("if (1) { ".repeat(ifs), "} ".repeat(ifs));
+        let ifs = format!("var out = 0; {open}out = 1; {close}output out;");
+        let (open, close) = ("a[".repeat(loads), "]".repeat(loads));
+        let loads = format!("array a[4]; var out = 0; out = {open}0{close}; output out;");
+        let ors = format!("var out = 0; out = {}1; output out;", "0 | ".repeat(ors));
+        [parens, ifs, loads, ors]
+    }
+
+    #[test]
+    fn hostile_nesting_is_a_parse_error_not_a_stack_overflow() {
+        // Each of these overflowed a worker stack before the depth guard.
+        for src in deep_sources(8000, 4000, 12000, 30000) {
+            let err = parse_wir(&src).unwrap_err();
+            assert!(err.message.contains("nesting deeper than 256 levels"), "{err}");
+        }
+    }
+
+    #[test]
+    fn nesting_up_to_the_limit_parses_runs_and_compiles() {
+        for src in deep_sources(MAX_DEPTH, MAX_DEPTH, MAX_DEPTH, MAX_DEPTH) {
+            // The innermost load reads the zero-initialised array.
+            let want = if src.starts_with("array") { 0 } else { 1 };
+            assert_eq!(run(&src), vec![want]);
+            let parsed = parse_wir(&src).unwrap();
+            for backend in [crate::Backend::Baseline, crate::Backend::Sempe, crate::Backend::Cte] {
+                crate::compile(&parsed.program, backend).expect("compiles");
+            }
+        }
+        for src in deep_sources(MAX_DEPTH + 1, MAX_DEPTH + 1, MAX_DEPTH + 1, MAX_DEPTH + 1) {
+            assert!(parse_wir(&src).is_err(), "one level past the limit is refused");
+        }
     }
 
     #[test]

@@ -69,6 +69,7 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant, SystemTime};
 
 use sempe_core::json::Json;
+use sempe_service::net;
 
 const DEFAULT_ADDR: &str = "127.0.0.1:4870";
 const DEFAULT_RETRIES: u32 = 3;
@@ -383,26 +384,8 @@ impl Conn {
     /// nonblocking connect + poll, so a blackholed server fails fast
     /// instead of hanging on the OS default (minutes).
     fn dial(addr: &str, connect_timeout: Option<Duration>) -> Result<Conn, String> {
-        let stream = match connect_timeout {
-            None => TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?,
-            Some(timeout) => {
-                use std::net::ToSocketAddrs;
-                let addrs = addr.to_socket_addrs().map_err(|e| format!("resolve {addr}: {e}"))?;
-                let mut last = format!("connect {addr}: no addresses resolved");
-                let mut connected = None;
-                for a in addrs {
-                    match TcpStream::connect_timeout(&a, timeout) {
-                        Ok(s) => {
-                            connected = Some(s);
-                            break;
-                        }
-                        Err(e) => last = format!("connect {a}: {e}"),
-                    }
-                }
-                connected.ok_or(last)?
-            }
-        };
-        stream.set_nodelay(true).ok();
+        let stream =
+            net::dial(addr, connect_timeout).map_err(|e| format!("connect {addr}: {e}"))?;
         Ok(Conn { stream, buf: Vec::new() })
     }
 

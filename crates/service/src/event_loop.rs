@@ -32,7 +32,7 @@ use sempe_core::json::Json;
 
 use crate::conn::{FrameEvent, Framer, IdWindow, WriteBuf};
 use crate::fault::FaultSite;
-use crate::net::Poller;
+use crate::net::{self, Poller};
 use crate::pool::{Completer, Completion, Job, Payload, PushError};
 use crate::protocol::{
     with_id, Envelope, ErrorCode, Request, ServiceError, MAX_REQUEST_BYTES, PROTO_VERSION,
@@ -217,46 +217,26 @@ pub(crate) fn run_event_loop(shared: &Arc<Shared>, poller: &Poller) -> std::io::
     Ok(())
 }
 
-/// Accept every connection the listener has pending (edge-triggered:
-/// must drain to `WouldBlock`).
+/// Admit every connection the listener has pending.
 fn accept_burst(
     shared: &Arc<Shared>,
     poller: &Poller,
     conns: &mut HashMap<u64, Conn>,
     now: Instant,
 ) {
-    // `accept_storm` models a thundering herd the loop sheds whole: one
-    // roll per burst, dropping every connection in it.
-    let storm = shared.injector.fire(FaultSite::AcceptStorm);
-    loop {
-        match shared.listener.accept() {
-            Ok((stream, _)) => {
-                if storm || shared.injector.fire(FaultSite::AcceptDrop) {
-                    let _ = stream.shutdown(Shutdown::Both);
-                    continue;
-                }
-                shared.connections.inc();
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                // `register_fail` models the poller rejecting the fd;
-                // the panic exercises the loop's own supervision path.
-                if shared.injector.fire(FaultSite::RegisterFail) {
-                    panic!("fault-injected poller registration failure");
-                }
-                let token = shared.next_token.fetch_add(1, Ordering::Relaxed);
-                if poller.add(stream.as_raw_fd(), token).is_err() {
-                    continue;
-                }
-                shared.connections_open.add(1);
-                conns.insert(token, Conn::new(stream, now));
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            // Typically EMFILE/ENFILE under fd pressure: stop the burst
-            // and let closing connections release descriptors.
-            Err(_) => break,
+    net::accept_burst(&shared.listener, &shared.injector, |stream| {
+        shared.connections.inc();
+        // `register_fail` models the poller rejecting the fd;
+        // the panic exercises the loop's own supervision path.
+        if shared.injector.fire(FaultSite::RegisterFail) {
+            panic!("fault-injected poller registration failure");
         }
-    }
+        let token = shared.next_token.fetch_add(1, Ordering::Relaxed);
+        if poller.add(stream.as_raw_fd(), token).is_ok() {
+            shared.connections_open.add(1);
+            conns.insert(token, Conn::new(stream, now));
+        }
+    });
 }
 
 /// Drain the socket (edge-triggered) into the framer.

@@ -16,6 +16,13 @@
 //!   loop drains it ([`Waker::drain`]). A full pipe means a wake is already
 //!   pending, so `WouldBlock` on the write side is success, not failure.
 //!
+//! It also owns the only two ways a service TCP connection comes to exist:
+//! [`accept_burst`] for the server's and the router's listeners, and
+//! [`dial`] for the router's shard links and `sempe-client`. Both set
+//! `TCP_NODELAY`: streamed frames are many small writes, and with Nagle on
+//! each one queued behind an unacked predecessor waits out the peer's
+//! delayed ACK (40 ms on Linux) — per hop.
+//!
 //! Everything here is mechanism; policy (what a token means, when to rearm,
 //! connection lifecycles) belongs to the event loop that owns the `Poller`.
 
@@ -52,8 +59,12 @@ mod sys {
     }
 }
 
-use std::io::{self, Read, Write};
+use std::io::{self, ErrorKind, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::UnixStream;
+use std::time::Duration;
+
+use crate::fault::{FaultInjector, FaultSite};
 
 /// A readiness event decoded from the kernel: which registration fired and
 /// what it is ready for. `hangup` covers `EPOLLERR | EPOLLHUP | EPOLLRDHUP` —
@@ -305,6 +316,59 @@ impl Waker {
     }
 }
 
+/// Accept every connection `listener` has pending (edge-triggered: must
+/// drain to `WouldBlock`). Each survivor of the fault rolls is made
+/// nonblocking and `TCP_NODELAY`, then handed to `admit`, which owns the
+/// caller's metrics, registration and `register_fail` policy.
+pub fn accept_burst(
+    listener: &TcpListener,
+    injector: &FaultInjector,
+    mut admit: impl FnMut(TcpStream),
+) {
+    // `accept_storm` models a thundering herd the loop sheds whole: one
+    // roll per burst, dropping every connection in it.
+    let storm = injector.fire(FaultSite::AcceptStorm);
+    loop {
+        match listener.accept() {
+            Ok((stream, _)) => {
+                if storm || injector.fire(FaultSite::AcceptDrop) {
+                    let _ = stream.shutdown(Shutdown::Both);
+                    continue;
+                }
+                if stream.set_nonblocking(true).is_ok() && stream.set_nodelay(true).is_ok() {
+                    admit(stream);
+                }
+            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+            // Typically EMFILE/ENFILE under fd pressure: stop the burst
+            // and let closing connections release descriptors.
+            Err(_) => break,
+        }
+    }
+}
+
+/// Resolve `addr` and connect to the first address that answers, with
+/// `TCP_NODELAY` set. `timeout` bounds each attempt (nonblocking connect
+/// + poll), so a blackholed peer fails fast; `None` leaves it to the OS.
+///
+/// # Errors
+///
+/// The resolver's error, or the last address's connect error.
+pub fn dial(addr: &str, timeout: Option<Duration>) -> io::Result<TcpStream> {
+    let mut last = io::Error::new(ErrorKind::NotFound, format!("no addresses for {addr}"));
+    for a in addr.to_socket_addrs()? {
+        let attempt = match timeout {
+            Some(t) => TcpStream::connect_timeout(&a, t),
+            None => TcpStream::connect(a),
+        };
+        match attempt.and_then(|s| s.set_nodelay(true).map(|()| s)) {
+            Ok(stream) => return Ok(stream),
+            Err(e) => last = e,
+        }
+    }
+    Err(last)
+}
+
 #[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
@@ -372,5 +436,28 @@ mod tests {
         }
 
         poller.delete(accepted.as_raw_fd()).expect("deregister");
+    }
+
+    #[test]
+    fn accepted_and_dialed_streams_are_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let bounded = dial(&addr, Some(Duration::from_secs(5))).expect("dial");
+        let unbounded = dial(&addr, None).expect("dial");
+        for s in [&bounded, &unbounded] {
+            assert!(s.nodelay().expect("nodelay"), "dialed stream has Nagle on");
+        }
+
+        let mut accepted = Vec::new();
+        listener.set_nonblocking(true).expect("nonblocking");
+        let injector = FaultInjector::new(crate::fault::FaultPlan::default());
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while accepted.len() < 2 {
+            accept_burst(&listener, &injector, |s| accepted.push(s));
+            assert!(Instant::now() < deadline, "accept_burst never saw both dials");
+        }
+        for s in &accepted {
+            assert!(s.nodelay().expect("nodelay"), "accepted stream has Nagle on");
+        }
     }
 }

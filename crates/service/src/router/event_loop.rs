@@ -23,7 +23,7 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, ErrorKind, Read, Write};
-use std::net::{Shutdown, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -39,7 +39,7 @@ use super::shard::Breaker;
 use super::{DialResult, RouterConfig, RouterShared};
 use crate::conn::{FrameEvent, Framer, IdWindow, WriteBuf};
 use crate::fault::FaultSite;
-use crate::net::Poller;
+use crate::net::{self, Poller};
 use crate::protocol::{
     with_id, Envelope, ErrorCode, MetricsFormat, Request, ServiceError, MAX_ID_BYTES,
     MAX_REQUEST_BYTES, PROTO_VERSION,
@@ -483,37 +483,22 @@ impl RouterLoop {
     // ---------------------------------------------------------------- upstream
 
     fn accept_burst(&mut self, poller: &Poller, now: Instant) {
-        let storm = self.shared.injector.fire(FaultSite::AcceptStorm);
-        loop {
-            match self.shared.listener.accept() {
-                Ok((stream, _)) => {
-                    if storm || self.shared.injector.fire(FaultSite::AcceptDrop) {
-                        let _ = stream.shutdown(Shutdown::Both);
-                        continue;
-                    }
-                    self.metrics.connections_total.inc();
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    if self.shared.injector.fire(FaultSite::RegisterFail) {
-                        // The server panics here to exercise supervision;
-                        // the router sheds the connection instead — its
-                        // loop has no respawn wrapper to catch a panic.
-                        let _ = stream.shutdown(Shutdown::Both);
-                        continue;
-                    }
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    if poller.add(stream.as_raw_fd(), token).is_err() {
-                        continue;
-                    }
-                    self.metrics.connections_open.add(1);
-                    self.ups.insert(token, Upstream::new(stream, now));
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(_) => break,
+        net::accept_burst(&self.shared.listener, &self.shared.injector, |stream| {
+            self.metrics.connections_total.inc();
+            if self.shared.injector.fire(FaultSite::RegisterFail) {
+                // The server panics here to exercise supervision; the
+                // router sheds the connection instead — its loop has no
+                // respawn wrapper to catch a panic.
+                let _ = stream.shutdown(Shutdown::Both);
+                return;
             }
-        }
+            let token = self.next_token;
+            self.next_token += 1;
+            if poller.add(stream.as_raw_fd(), token).is_ok() {
+                self.metrics.connections_open.add(1);
+                self.ups.insert(token, Upstream::new(stream, now));
+            }
+        });
     }
 
     fn process_pending(&mut self, token: u64, now: Instant) {
@@ -1241,7 +1226,6 @@ impl RouterLoop {
                         self.shard_failed(poller, idx, now);
                         continue;
                     }
-                    let _ = stream.set_nodelay(true);
                     let token = self.next_token;
                     self.next_token += 1;
                     if poller.add(stream.as_raw_fd(), token).is_err() {
@@ -1281,7 +1265,7 @@ impl RouterLoop {
         let spawned = std::thread::Builder::new()
             .name(format!("router-dial-{idx}"))
             .spawn(move || {
-                let result = dial(&addr, timeout);
+                let result = net::dial(&addr, Some(timeout));
                 {
                     let mut mailbox =
                         shared.dials.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -1597,20 +1581,6 @@ fn busy_line(message: &str, retry_after_ms: u64) -> String {
         .with("error", message)
         .with("retry_after_ms", retry_after_ms)
         .encode()
-}
-
-/// Resolve and connect with a bounded timeout (std's nonblocking
-/// connect + poll under the hood). Runs on a dialer thread.
-fn dial(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
-    let addrs = addr.to_socket_addrs()?;
-    let mut last = io::Error::new(ErrorKind::NotFound, format!("no addresses for {addr}"));
-    for a in addrs {
-        match TcpStream::connect_timeout(&a, timeout) {
-            Ok(stream) => return Ok(stream),
-            Err(e) => last = e,
-        }
-    }
-    Err(last)
 }
 
 fn read_upstream(u: &mut Upstream, now: Instant) {

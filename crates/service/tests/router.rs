@@ -382,3 +382,57 @@ fn circuit_breaker_opens_on_a_dead_shard_and_closes_when_it_returns() {
     shard.shutdown();
     shard.join();
 }
+
+#[test]
+fn unfanned_streamed_batches_never_wait_on_delayed_acks() {
+    // A 4-item batch under the fan-out threshold streams from one shard
+    // through the router as a burst of small frames. With Nagle on any
+    // hop, each frame behind an unacked one waits out the peer's delayed
+    // ACK (40 ms on Linux); with `TCP_NODELAY` everywhere, a tiny program
+    // round-trips in a few milliseconds.
+    let shard_a = Server::start(&ServiceConfig::default()).expect("shard a");
+    let shard_b = Server::start(&ServiceConfig::default()).expect("shard b");
+    let cfg = RouterConfig {
+        batch_fanout_min: 8,
+        ..fast_config(vec![shard_a.local_addr().to_string(), shard_b.local_addr().to_string()])
+    };
+    let router = Router::start(&cfg).expect("router");
+    wait_healthy(router.local_addr(), 2, Duration::from_secs(10));
+
+    let (mut stream, mut reader) = connect(router.local_addr());
+    // `writeln!` sends the line and its newline as two writes: keep the
+    // client's own Nagle out of the measurement, as real clients do.
+    stream.set_nodelay(true).expect("nodelay");
+    hello(&mut stream, &mut reader);
+    let mut trips = Vec::new();
+    for round in 0..9 {
+        let id = format!("s{round}");
+        let started = Instant::now();
+        writeln!(stream, "{}", batch_line(&id, &[1, 2, 3, 4])).expect("send batch");
+        let mut frames = 0;
+        let terminal = loop {
+            let resp = read_line(&mut reader);
+            let v = json::parse(&resp).expect("frame parses");
+            if v.get("partial").and_then(Json::as_bool) != Some(true) {
+                break resp;
+            }
+            frames += 1;
+        };
+        trips.push(started.elapsed());
+        assert!(terminal.starts_with(&format!(r#"{{"id":"{id}","ok":true"#)), "{terminal}");
+        assert_eq!(frames, 4, "one streamed frame per item");
+    }
+    trips.sort();
+    let median = trips[trips.len() / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "median routed batch round trip {median:?} (a delayed-ACK stall is >= 40 ms): {trips:?}"
+    );
+
+    router.shutdown();
+    router.join();
+    for shard in [shard_a, shard_b] {
+        shard.shutdown();
+        shard.join();
+    }
+}

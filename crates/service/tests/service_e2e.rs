@@ -276,6 +276,29 @@ fn compile_and_error_paths_over_the_wire() {
     server.join();
 }
 
+/// Regression for a stack-overflow abort: 8000 nested parens used to
+/// overflow a worker's stack and take the whole daemon down. The parser's
+/// depth guard turns it into an `E_WIR` reply, and the connection lives on.
+#[test]
+fn hostile_nesting_gets_e_wir_and_the_connection_keeps_serving() {
+    let server = start(1);
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let deep = format!("var out = 0; out = {}1{}; output out;", "(".repeat(8000), ")".repeat(8000));
+    let deep = format!(r#"{{"type":"run","source":{}}}"#, json::escape(&deep));
+    let next = format!(r#"{{"type":"run","source":{}}}"#, json::escape(MODEXP));
+    writeln!(stream, "{deep}\n{next}").expect("send");
+    let mut resp = String::new();
+    reader.read_line(&mut resp).expect("first");
+    assert!(resp.contains("\"E_WIR\""), "{resp}");
+    assert!(resp.contains("nesting deeper than 256 levels"), "{resp}");
+    resp.clear();
+    reader.read_line(&mut resp).expect("second");
+    assert!(resp.contains("\"ok\":true"), "the same connection serves on: {resp}");
+    server.shutdown();
+    server.join();
+}
+
 /// Regression for the shutdown truncation bug: `Server::join` used to
 /// force-close every connection stream right after joining the workers,
 /// cutting off handlers mid-write. The drain window must let an
