@@ -40,6 +40,8 @@
 use core::fmt;
 use std::collections::BTreeMap;
 
+use sempe_isa::program::layout;
+
 use crate::wir::{ArrId, BinOp, Expr, Stmt, VarId, WirBuilder, WirProgram};
 
 /// A parse failure with position information.
@@ -254,10 +256,18 @@ impl<'a> Lexer<'a> {
 /// thread's stack on adversarial input.
 const MAX_DEPTH: usize = 256;
 
+/// Words in the static data segment, the ceiling on the summed length of
+/// every declared array: codegen lays them all out between `DATA_BASE`
+/// and `SHADOW_BASE`, and both codegen and the interpreter allocate them
+/// up front.
+const DATA_WORDS: u64 = (layout::SHADOW_BASE - layout::DATA_BASE) / 8;
+
 struct Parser {
     toks: Vec<(Tok, usize, usize)>,
     pos: usize,
     depth: usize,
+    /// Summed length of the arrays declared so far.
+    array_words: u64,
     builder: WirBuilder,
     vars: BTreeMap<String, VarId>,
     arrays: BTreeMap<String, ArrId>,
@@ -368,7 +378,14 @@ impl Parser {
                     }
                     let name = self.expect_ident()?;
                     self.eat_sym("[")?;
-                    let len = self.expect_int()? as usize;
+                    let len = self.expect_int()?;
+                    self.array_words = self.array_words.saturating_add(len);
+                    if self.array_words > DATA_WORDS {
+                        return Err(self.error(format!(
+                            "arrays need more than the data segment's {DATA_WORDS} words"
+                        )));
+                    }
+                    let len = len as usize;
                     self.eat_sym("]")?;
                     let mut init = Vec::new();
                     if matches!(self.peek(), Tok::Sym("=")) {
@@ -580,6 +597,7 @@ pub fn parse_wir(src: &str) -> Result<ParsedProgram, ParseError> {
         toks,
         pos: 0,
         depth: 0,
+        array_words: 0,
         builder: WirBuilder::new(),
         vars: BTreeMap::new(),
         arrays: BTreeMap::new(),
@@ -912,6 +930,30 @@ mod tests {
         for src in deep_sources(MAX_DEPTH + 1, MAX_DEPTH + 1, MAX_DEPTH + 1, MAX_DEPTH + 1) {
             assert!(parse_wir(&src).is_err(), "one level past the limit is refused");
         }
+    }
+
+    #[test]
+    fn arrays_past_the_data_segment_are_a_parse_error_not_an_abort() {
+        // 4e9 words made codegen try a 32 GB allocation; u64::MAX is a
+        // `-1` length cast to `usize`. Two arrays that fit alone but not
+        // together are refused too.
+        let half = DATA_WORDS / 2 + 1;
+        for decls in [
+            "array a[4000000000];".to_string(),
+            format!("array a[{}];", u64::MAX),
+            format!("array a[{half}]; scratch array b[{half}];"),
+        ] {
+            let err = parse_wir(&format!("{decls} var out = 0; output out;")).unwrap_err();
+            assert!(err.message.contains("data segment"), "{decls}: {err}");
+        }
+        assert!(parse_wir("array a[-1]; var out = 0; output out;").is_err());
+    }
+
+    #[test]
+    fn the_largest_legal_array_still_parses() {
+        let src = format!("array a[{DATA_WORDS}]; var out = 0; output out;");
+        let parsed = parse_wir(&src).expect("a data-segment-sized array parses");
+        assert_eq!(parsed.program.arrays()[0].len as u64, DATA_WORDS);
     }
 
     #[test]

@@ -13,16 +13,21 @@
 //!                       └────────────────────────────────────┘
 //! ```
 //!
-//! Protocol generations live here too. A connection starts in legacy
-//! (v1) mode: strictly serialized request→response, byte-identical to
-//! the old thread-per-connection server. A `hello` upgrade switches it
-//! to v2: every request carries an id, many may be in flight at once,
-//! responses return in completion order, and `batch`/`sweep` stream
-//! per-trial/per-lane progress frames before their terminal response.
+//! Connection state and socket I/O are the shared [`Conn`] from
+//! `conn.rs`, the type the router's upstream side uses too: framing,
+//! the id rules, the `hello` upgrade, the timers and the write faults
+//! live there. This loop adds what only the server does: inline ops,
+//! dispatch to the worker pool, completion delivery, and the
+//! queued-deadline and pool-death verdicts.
+//!
+//! A connection starts in legacy (v1) mode: strictly serialized
+//! request→response, byte-identical to the old thread-per-connection
+//! server. A `hello` upgrade switches it to v2: every request carries an
+//! id, many may be in flight at once, responses return in completion
+//! order, and `batch`/`sweep` stream per-trial/per-lane progress frames
+//! before their terminal response.
 
-use std::collections::{HashMap, VecDeque};
-use std::io::{ErrorKind, Read, Write};
-use std::net::{Shutdown, TcpStream};
+use std::collections::HashMap;
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -30,43 +35,17 @@ use std::time::Instant;
 
 use sempe_core::json::Json;
 
-use crate::conn::{FrameEvent, Framer, IdWindow, WriteBuf};
+use crate::conn::{self, Mode};
 use crate::fault::FaultSite;
 use crate::net::{self, Poller};
 use crate::pool::{Completer, Completion, Job, Payload, PushError};
-use crate::protocol::{
-    with_id, Envelope, ErrorCode, Request, ServiceError, MAX_REQUEST_BYTES, PROTO_VERSION,
-};
-use crate::server::{Shared, ID_WINDOW, LOOP_TICK_MS, QUEUED_DEADLINE_GRACE};
+use crate::protocol::{op_slot, with_id, ErrorCode, Request, ServiceError};
+use crate::server::{Shared, LOOP_TICK_MS, QUEUED_DEADLINE_GRACE};
 
 /// Poller token of the TCP listener.
 const TOKEN_LISTENER: u64 = 0;
 /// Poller token of the completion-queue wake pipe.
 const TOKEN_WAKER: u64 = 1;
-
-/// Which protocol generation a connection speaks.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// Strictly serialized request→response; ids optional.
-    Legacy,
-    /// Pipelined, out-of-order, streaming; ids mandatory.
-    V2,
-}
-
-/// A framed input item waiting to be processed, in arrival order.
-enum PendingItem {
-    Line {
-        line: String,
-        /// `read_stall` fault: the line may not be processed before
-        /// this instant (later lines queue behind it).
-        release: Option<Instant>,
-        /// Whether the stall fault was already rolled for this line.
-        rolled: bool,
-    },
-    TooLong {
-        recovered: bool,
-    },
-}
 
 /// A dispatched compute job the loop is still waiting on.
 struct Inflight {
@@ -75,63 +54,8 @@ struct Inflight {
     deadline: Option<Instant>,
 }
 
-/// All loop-owned state of one connection.
-struct Conn {
-    stream: TcpStream,
-    framer: Framer,
-    wbuf: WriteBuf,
-    ids: IdWindow,
-    mode: Mode,
-    /// Legacy serialization: a compute job is in flight, so no further
-    /// input line may be processed until its response is queued.
-    legacy_busy: bool,
-    pending: VecDeque<PendingItem>,
-    inflight: HashMap<u64, Inflight>,
-    /// Peer sent EOF (or the read side died); buffered work still runs
-    /// and pending responses still flush (half-close works).
-    peer_closed: bool,
-    /// Close the socket once the write buffer drains (shutdown
-    /// responses, truncation faults, frame-stall errors).
-    close_after_flush: bool,
-    /// Stop feeding the framer (post-truncation, post-stall).
-    stop_reading: bool,
-    /// Hard-close at the next reap sweep.
-    dead: bool,
-    /// Edge-triggered writability: true until a write hits `WouldBlock`,
-    /// re-armed by the next `EPOLLOUT` edge.
-    writable: bool,
-    /// When the socket first refused bytes we still owe it (response
-    /// stall defense — the write-side analog of the frame timeout).
-    write_stuck_since: Option<Instant>,
-    last_activity: Instant,
-}
-
-impl Conn {
-    fn new(stream: TcpStream, now: Instant) -> Conn {
-        Conn {
-            stream,
-            framer: Framer::new(),
-            wbuf: WriteBuf::new(),
-            ids: IdWindow::new(ID_WINDOW),
-            mode: Mode::Legacy,
-            legacy_busy: false,
-            pending: VecDeque::new(),
-            inflight: HashMap::new(),
-            peer_closed: false,
-            close_after_flush: false,
-            stop_reading: false,
-            dead: false,
-            writable: true,
-            write_stuck_since: None,
-            last_activity: now,
-        }
-    }
-
-    /// Nothing queued in either direction and nothing in flight.
-    fn quiescent(&self) -> bool {
-        self.inflight.is_empty() && self.pending.is_empty() && self.wbuf.is_empty()
-    }
-}
+/// A client connection; its in-flight table holds the server's jobs.
+type Conn = conn::Conn<Inflight>;
 
 /// Run the event loop until clean shutdown. Returns `Err` only on a
 /// poller-level failure (the supervisor wrapper decides whether to
@@ -162,13 +86,7 @@ pub(crate) fn run_event_loop(shared: &Arc<Shared>, poller: &Poller) -> std::io::
                 TOKEN_WAKER => shared.completions.waker.drain(),
                 token => {
                     if let Some(conn) = conns.get_mut(&token) {
-                        if ev.writable {
-                            conn.writable = true;
-                            conn.write_stuck_since = None;
-                        }
-                        if ev.readable || ev.hangup {
-                            read_conn(conn, now);
-                        }
+                        conn.on_event(ev, now);
                     }
                 }
             }
@@ -181,20 +99,19 @@ pub(crate) fn run_event_loop(shared: &Arc<Shared>, poller: &Poller) -> std::io::
             deliver(shared, &mut conns, completion, now);
         }
         for (&token, conn) in &mut conns {
-            process_pending(shared, conn, token, now);
+            while let Some(line) = conn.next_line(&shared.injector, now) {
+                handle_line(shared, conn, token, &line, now);
+            }
         }
         sweep_timers(shared, &mut conns, now);
         for conn in conns.values_mut() {
-            flush_conn(shared, conn, now);
+            conn.flush(now, &shared.phase_write);
         }
         let draining = shared.shutdown.load(Ordering::SeqCst);
         conns.retain(|_, conn| {
-            let close = conn.dead
-                || (conn.peer_closed && conn.quiescent())
-                || (draining && conn.quiescent() && !conn.framer.mid_frame());
+            let close = conn.finished(draining);
             if close {
-                let _ = poller.delete(conn.stream.as_raw_fd());
-                let _ = conn.stream.shutdown(Shutdown::Both);
+                conn.link.close(poller);
                 shared.connections_open.sub(1);
                 shared.inflight_requests.sub(conn.inflight.len() as u64);
             }
@@ -239,42 +156,6 @@ fn accept_burst(
     });
 }
 
-/// Drain the socket (edge-triggered) into the framer.
-fn read_conn(conn: &mut Conn, now: Instant) {
-    let mut chunk = [0u8; 16 * 1024];
-    let mut frames = Vec::new();
-    loop {
-        match (&conn.stream).read(&mut chunk) {
-            Ok(0) => {
-                conn.peer_closed = true;
-                break;
-            }
-            Ok(n) => {
-                conn.last_activity = now;
-                if !conn.stop_reading {
-                    conn.framer.feed(&chunk[..n], now, &mut frames);
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => {
-                conn.peer_closed = true;
-                break;
-            }
-        }
-    }
-    for ev in frames {
-        match ev {
-            FrameEvent::Line(line) => {
-                conn.pending.push_back(PendingItem::Line { line, release: None, rolled: false });
-            }
-            FrameEvent::TooLong { recovered } => {
-                conn.pending.push_back(PendingItem::TooLong { recovered });
-            }
-        }
-    }
-}
-
 /// Route one completion back to its connection. Stale completions —
 /// the connection died, or the loop already answered for the job
 /// (deadline, pool death) — are dropped silently.
@@ -285,7 +166,7 @@ fn deliver(shared: &Arc<Shared>, conns: &mut HashMap<u64, Conn>, c: Completion, 
             // Frames arrive pre-rendered; only deliver while the job is
             // still wanted.
             if conn.inflight.contains_key(&c.serial) {
-                enqueue_response(shared, conn, &line, now);
+                conn.send(&shared.injector, &line, now);
             }
         }
         Payload::Done(result) => {
@@ -295,54 +176,7 @@ fn deliver(shared: &Arc<Shared>, conns: &mut HashMap<u64, Conn>, c: Completion, 
                 Ok(body) => body.to_string(),
                 Err(e) => e.to_json(),
             };
-            enqueue_response(shared, conn, &with_id(&body, inflight.id.as_deref()), now);
-            if conn.mode == Mode::Legacy {
-                conn.legacy_busy = false;
-            }
-        }
-    }
-}
-
-/// Process buffered input items in arrival order, honoring the legacy
-/// serialization gate and `read_stall` parking.
-fn process_pending(shared: &Arc<Shared>, conn: &mut Conn, token: u64, now: Instant) {
-    loop {
-        if conn.close_after_flush || conn.dead {
-            return;
-        }
-        if conn.mode == Mode::Legacy && conn.legacy_busy {
-            return;
-        }
-        let Some(front) = conn.pending.front_mut() else { return };
-        match front {
-            PendingItem::TooLong { recovered } => {
-                let recovered = *recovered;
-                conn.pending.pop_front();
-                let e = ServiceError::new(
-                    ErrorCode::BadRequest,
-                    format!("request exceeds {MAX_REQUEST_BYTES} bytes"),
-                );
-                enqueue_response(shared, conn, &e.to_json(), now);
-                if !recovered {
-                    conn.close_after_flush = true;
-                    conn.stop_reading = true;
-                }
-            }
-            PendingItem::Line { release, rolled, .. } => {
-                if !*rolled {
-                    *rolled = true;
-                    if let Some(stall) = shared.injector.stall(FaultSite::ReadStall) {
-                        *release = Some(now + stall);
-                    }
-                }
-                if release.is_some_and(|r| now < r) {
-                    return; // parked: the fallback tick retries it
-                }
-                let Some(PendingItem::Line { line, .. }) = conn.pending.pop_front() else {
-                    return;
-                };
-                handle_line(shared, conn, token, &line, now);
-            }
+            conn.send(&shared.injector, &with_id(&body, inflight.id.as_deref()), now);
         }
     }
 }
@@ -354,64 +188,15 @@ fn handle_line(shared: &Arc<Shared>, conn: &mut Conn, token: u64, line: &str, no
     if trimmed.is_empty() {
         return;
     }
-    let envelope = match Envelope::parse(trimmed) {
-        Ok(e) => e,
-        Err(e) => {
-            enqueue_response(shared, conn, &e.to_json(), now);
-            return;
-        }
-    };
-    if conn.mode == Mode::V2 && envelope.id.is_none() {
-        let e = ServiceError::new(
-            ErrorCode::BadRequest,
-            "v2 requests must carry an id (responses are matched by it)",
-        );
-        enqueue_response(shared, conn, &e.to_json(), now);
+    let Some((request, id, deadline_ms)) = conn.admit(&shared.injector, trimmed, now) else {
         return;
-    }
-    let id = envelope.id.as_deref();
-    if let Some(id_str) = id {
-        if !conn.ids.admit(id_str) {
-            let e = ServiceError::new(
-                ErrorCode::BadRequest,
-                format!("request id {id_str} was already used on this connection"),
-            );
-            enqueue_response(shared, conn, &with_id(&e.to_json(), id), now);
-            return;
-        }
-    }
-    let request = match envelope.req {
-        Ok(r) => r,
-        Err(e) => {
-            enqueue_response(shared, conn, &with_id(&e.to_json(), id), now);
-            return;
-        }
     };
-    let deadline = envelope.deadline_ms.map(|ms| now + std::time::Duration::from_millis(ms));
+    let id = id.as_deref();
+    let deadline = deadline_ms.map(|ms| now + std::time::Duration::from_millis(ms));
     let body = match request {
         Request::Hello { proto } => {
             shared.registry.counter("requests_total{op=\"hello\"}").inc();
-            if conn.mode == Mode::V2 {
-                ServiceError::new(
-                    ErrorCode::BadRequest,
-                    "duplicate hello: this connection already speaks v2",
-                )
-                .to_json()
-            } else if proto != PROTO_VERSION {
-                ServiceError::new(
-                    ErrorCode::BadRequest,
-                    format!("unsupported protocol version {proto} (this server speaks 2)"),
-                )
-                .to_json()
-            } else {
-                conn.mode = Mode::V2;
-                Json::obj()
-                    .with("ok", true)
-                    .with("type", "hello")
-                    .with("proto", PROTO_VERSION)
-                    .with("streaming", true)
-                    .encode()
-            }
+            conn.hello(proto)
         }
         Request::Stats => {
             shared.registry.counter("requests_total{op=\"stats\"}").inc();
@@ -428,8 +213,8 @@ fn handle_line(shared: &Arc<Shared>, conn: &mut Conn, token: u64, line: &str, no
         Request::Shutdown => {
             shared.registry.counter("requests_total{op=\"shutdown\"}").inc();
             let body = Json::obj().with("ok", true).with("type", "shutdown").encode();
-            enqueue_response(shared, conn, &with_id(&body, id), now);
-            conn.close_after_flush = true;
+            conn.send(&shared.injector, &with_id(&body, id), now);
+            conn.link.close_after_flush = true;
             shared.initiate_shutdown();
             return;
         }
@@ -438,7 +223,7 @@ fn handle_line(shared: &Arc<Shared>, conn: &mut Conn, token: u64, line: &str, no
             return;
         }
     };
-    enqueue_response(shared, conn, &with_id(&body, id), now);
+    conn.send(&shared.injector, &with_id(&body, id), now);
 }
 
 /// Submit a compute request to the job queue, enforcing load shedding
@@ -454,7 +239,9 @@ fn dispatch_compute(
     deadline: Option<Instant>,
     now: Instant,
 ) {
-    shared.registry.counter(&format!("requests_total{{op=\"{}\"}}", request.op_name())).inc();
+    if let Some(slot) = op_slot(request.op_name()) {
+        shared.requests[slot].inc();
+    }
     if request.is_heavy() && shared.queue.depth() >= shared.shed_highwater {
         shared.shed.inc();
         shared.rejected.inc();
@@ -465,12 +252,11 @@ fn dispatch_compute(
                 shared.shed_highwater
             ),
         );
-        enqueue_response(shared, conn, &with_id(&e.to_json(), id), now);
+        conn.send(&shared.injector, &with_id(&e.to_json(), id), now);
         return;
     }
     let serial = shared.next_serial.fetch_add(1, Ordering::Relaxed);
-    let stream =
-        conn.mode == Mode::V2 && matches!(request, Request::Batch { .. } | Request::Sweep { .. });
+    let stream = conn.mode == Mode::V2 && request.is_heavy();
     let job = Job {
         request,
         deadline,
@@ -488,9 +274,6 @@ fn dispatch_compute(
         Ok(()) => {
             conn.inflight.insert(serial, Inflight { id: id.map(str::to_string), deadline });
             shared.inflight_requests.add(1);
-            if conn.mode == Mode::Legacy {
-                conn.legacy_busy = true;
-            }
         }
         Err((job, PushError::Full)) => {
             job.completer.disarm();
@@ -499,89 +282,41 @@ fn dispatch_compute(
                 ErrorCode::Busy,
                 format!("job queue full (capacity {})", shared.queue.capacity),
             );
-            enqueue_response(shared, conn, &with_id(&e.to_json(), id), now);
+            conn.send(&shared.injector, &with_id(&e.to_json(), id), now);
         }
         Err((job, PushError::Closed)) => {
             job.completer.disarm();
             let e = ServiceError::new(ErrorCode::Shutdown, "server is shutting down");
-            enqueue_response(shared, conn, &with_id(&e.to_json(), id), now);
+            conn.send(&shared.injector, &with_id(&e.to_json(), id), now);
         }
     }
 }
 
-/// Queue a response line, applying the write-side fault sites exactly
-/// where the blocking server applied them (per response line).
-fn enqueue_response(shared: &Arc<Shared>, conn: &mut Conn, line: &str, now: Instant) {
-    conn.last_activity = now;
-    if shared.injector.fire(FaultSite::WriteTrunc) {
-        conn.wbuf.enqueue_truncated(line);
-        conn.close_after_flush = true;
-        conn.stop_reading = true;
-    } else if let Some(stall) = shared.injector.stall(FaultSite::WriteStall) {
-        conn.wbuf.enqueue_stalled(line, stall, now);
-    } else {
-        conn.wbuf.enqueue(line);
-    }
-}
-
-/// The per-tick timer scan: frame stalls, idle reaping, queued-job
-/// deadlines, pool death, and write-side stalls.
+/// The per-tick timer scan: the connection timers, then queued-job
+/// deadlines and pool death.
 fn sweep_timers(shared: &Arc<Shared>, conns: &mut HashMap<u64, Conn>, now: Instant) {
     let pool_dead = shared.pool_dead();
     for conn in conns.values_mut() {
-        if conn.dead {
-            continue;
-        }
-        // Slow-loris defense: a partial request frame (or an overflow
-        // drain) stalled past the frame timeout gets a structured error
-        // and the connection is closed after the flush.
-        if !conn.close_after_flush {
-            if let Some(started) = conn.framer.frame_started() {
-                if now.duration_since(started) >= shared.frame_timeout {
-                    let e = ServiceError::new(
-                        ErrorCode::BadRequest,
-                        "request frame stalled mid-transfer",
-                    );
-                    enqueue_response(shared, conn, &e.to_json(), now);
-                    conn.close_after_flush = true;
-                    conn.stop_reading = true;
-                }
-            }
-        }
-        // A peer that stopped draining its socket while we owe it bytes
-        // is the write-side slow loris.
-        if conn
-            .write_stuck_since
-            .is_some_and(|since| now.duration_since(since) >= shared.frame_timeout)
-        {
-            conn.dead = true;
-            continue;
-        }
-        // Idle reaper: nothing buffered, nothing in flight, nothing
-        // owed, and no traffic for the idle window.
-        if conn.quiescent()
-            && !conn.framer.mid_frame()
-            && now.duration_since(conn.last_activity) >= shared.idle_timeout
-        {
-            conn.dead = true;
+        if !conn.sweep_timers(&shared.injector, now, shared.frame_timeout, shared.idle_timeout) {
             continue;
         }
         // Jobs the pool will never answer: a budget that died while the
         // job sat queued (plus grace), or a pool that can no longer run
         // anything. The inflight entry is dropped so a late completion
         // is ignored rather than double-answered.
-        let mut lapsed: Vec<u64> = Vec::new();
-        for (&serial, inflight) in &conn.inflight {
-            let deadline_lapsed =
-                inflight.deadline.is_some_and(|d| now >= d + QUEUED_DEADLINE_GRACE);
-            if deadline_lapsed || pool_dead {
-                lapsed.push(serial);
-            }
-        }
-        for serial in lapsed {
+        let lapsed = |inflight: &Inflight| {
+            inflight.deadline.is_some_and(|d| now >= d + QUEUED_DEADLINE_GRACE)
+        };
+        let dropped: Vec<u64> = conn
+            .inflight
+            .iter()
+            .filter(|(_, inflight)| pool_dead || lapsed(inflight))
+            .map(|(&serial, _)| serial)
+            .collect();
+        for serial in dropped {
             let Some(inflight) = conn.inflight.remove(&serial) else { continue };
             shared.inflight_requests.sub(1);
-            let e = if inflight.deadline.is_some_and(|d| now >= d + QUEUED_DEADLINE_GRACE) {
+            let e = if lapsed(&inflight) {
                 shared.deadlines_expired.inc();
                 ServiceError::new(
                     ErrorCode::Deadline,
@@ -590,53 +325,7 @@ fn sweep_timers(shared: &Arc<Shared>, conns: &mut HashMap<u64, Conn>, now: Insta
             } else {
                 ServiceError::new(ErrorCode::Internal, "worker pool exhausted its restart budget")
             };
-            enqueue_response(shared, conn, &with_id(&e.to_json(), inflight.id.as_deref()), now);
-            if conn.mode == Mode::Legacy {
-                conn.legacy_busy = false;
-            }
+            conn.send(&shared.injector, &with_id(&e.to_json(), inflight.id.as_deref()), now);
         }
-    }
-}
-
-/// Flush as much of the write buffer as the socket (and any pending
-/// fault cork) allows.
-fn flush_conn(shared: &Arc<Shared>, conn: &mut Conn, now: Instant) {
-    if conn.dead || !conn.writable {
-        return;
-    }
-    let start = Instant::now();
-    let mut wrote_any = false;
-    loop {
-        let slice = conn.wbuf.writable_slice(now);
-        if slice.is_empty() {
-            break;
-        }
-        match (&conn.stream).write(slice) {
-            Ok(n) => {
-                wrote_any = true;
-                conn.wbuf.advance(n, now);
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                conn.writable = false;
-                conn.write_stuck_since.get_or_insert(now);
-                break;
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => {
-                conn.dead = true;
-                return;
-            }
-        }
-    }
-    if wrote_any {
-        conn.write_stuck_since = None;
-        shared
-            .registry
-            .histogram("phase_latency_us{phase=\"write\"}")
-            .observe_duration(start.elapsed());
-    }
-    if conn.close_after_flush && conn.wbuf.is_empty() {
-        let _ = conn.stream.shutdown(Shutdown::Both);
-        conn.dead = true;
     }
 }

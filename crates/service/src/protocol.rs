@@ -333,6 +333,14 @@ pub enum MetricsFormat {
     Prometheus,
 }
 
+/// The compute ops, in the order of every per-op metric handle array.
+pub(crate) const COMPUTE_OPS: [&str; 5] = ["compile", "run", "sweep", "attack", "batch"];
+
+/// Index of a compute op in [`COMPUTE_OPS`]; `None` for an inline op.
+pub(crate) fn op_slot(op: &str) -> Option<usize> {
+    COMPUTE_OPS.iter().position(|&o| o == op)
+}
+
 impl Request {
     /// Does this request go through the job queue (and the result cache)?
     #[must_use]

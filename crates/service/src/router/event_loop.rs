@@ -1,5 +1,9 @@
 //! The router's event loop: one thread owns the upstream listener,
 //! every upstream connection, and one multiplexed v2 link per shard.
+//! Upstream connections are the server's own [`Conn`] type (with router
+//! job ids in the in-flight table), and each shard link is a bare
+//! [`Link`], so socket reads, flushes, write faults and the per-line
+//! client protocol are the code `sempe-serve` runs.
 //!
 //! ```text
 //!  clients ──► accept ─► frame ─► parse ──► digest ─► chunk(s) ─► shard link(s)
@@ -21,9 +25,9 @@
 //! terminals are re-id'd in place and fanned-out `batch` terminals are
 //! stitched back together byte-identically to a single-shard run.
 
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::io::{self, ErrorKind, Read, Write};
-use std::net::{Shutdown, TcpStream};
+use std::collections::{HashMap, VecDeque};
+use std::io;
+use std::net::Shutdown;
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -37,78 +41,20 @@ use super::ring;
 use super::scan;
 use super::shard::Breaker;
 use super::{DialResult, RouterConfig, RouterShared};
-use crate::conn::{FrameEvent, Framer, IdWindow, WriteBuf};
+use crate::conn::{Conn, FrameEvent, Link, Mode};
 use crate::fault::FaultSite;
 use crate::net::{self, Poller};
 use crate::protocol::{
-    with_id, Envelope, ErrorCode, MetricsFormat, Request, ServiceError, MAX_ID_BYTES,
-    MAX_REQUEST_BYTES, PROTO_VERSION,
+    op_slot, with_id, ErrorCode, MetricsFormat, Request, ServiceError, COMPUTE_OPS, MAX_ID_BYTES,
 };
+use crate::server::LOOP_TICK_MS;
 
 const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKER: u64 = 1;
-const LOOP_TICK_MS: i32 = 25;
-const ID_WINDOW: usize = 1024;
 
-/// Which protocol generation an upstream connection speaks.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    Legacy,
-    V2,
-}
-
-/// A framed upstream input item, in arrival order (same shape as the
-/// server's, including `read_stall` parking).
-enum PendingItem {
-    Line { line: String, release: Option<Instant>, rolled: bool },
-    TooLong { recovered: bool },
-}
-
-/// Loop-owned state of one upstream connection — the server's `Conn`
-/// with the job-queue plumbing swapped for router job ids.
-struct Upstream {
-    stream: TcpStream,
-    framer: Framer,
-    wbuf: WriteBuf,
-    ids: IdWindow,
-    mode: Mode,
-    legacy_busy: bool,
-    pending: VecDeque<PendingItem>,
-    jobs: HashSet<u64>,
-    peer_closed: bool,
-    close_after_flush: bool,
-    stop_reading: bool,
-    dead: bool,
-    writable: bool,
-    write_stuck_since: Option<Instant>,
-    last_activity: Instant,
-}
-
-impl Upstream {
-    fn new(stream: TcpStream, now: Instant) -> Upstream {
-        Upstream {
-            stream,
-            framer: Framer::new(),
-            wbuf: WriteBuf::new(),
-            ids: IdWindow::new(ID_WINDOW),
-            mode: Mode::Legacy,
-            legacy_busy: false,
-            pending: VecDeque::new(),
-            jobs: HashSet::new(),
-            peer_closed: false,
-            close_after_flush: false,
-            stop_reading: false,
-            dead: false,
-            writable: true,
-            write_stuck_since: None,
-            last_activity: now,
-        }
-    }
-
-    fn quiescent(&self) -> bool {
-        self.jobs.is_empty() && self.pending.is_empty() && self.wbuf.is_empty()
-    }
-}
+/// An upstream client connection: the server's connection type, with
+/// router job ids in its in-flight table.
+type Upstream = Conn<()>;
 
 /// Downstream link lifecycle.
 #[derive(Clone, Copy)]
@@ -141,12 +87,9 @@ struct ShardConn {
     /// Bumped per dial attempt; stale dialer results are discarded.
     generation: u64,
     token: Option<u64>,
-    stream: Option<TcpStream>,
-    framer: Framer,
-    wbuf: WriteBuf,
-    writable: bool,
-    close_after_flush: bool,
-    write_stuck_since: Option<Instant>,
+    /// The socket while connected; `None` once it died or before a dial
+    /// lands, so a reconnect always starts from a fresh link.
+    link: Option<Link>,
     breaker: Breaker,
     /// Router-minted send id → (job, chunk index).
     inflight: HashMap<String, (u64, usize)>,
@@ -224,10 +167,11 @@ struct RJob {
 }
 
 /// Pre-resolved metric handles: the hot path must not pay a
-/// `format!` + name-table lookup per request.
+/// `format!` + name-table lookup per request. Per-op arrays are in
+/// [`COMPUTE_OPS`] order.
 struct Metrics {
-    req: [Arc<Counter>; 5],
-    lat: [Arc<Histogram>; 5],
+    req: [Arc<Counter>; COMPUTE_OPS.len()],
+    lat: [Arc<Histogram>; COMPUTE_OPS.len()],
     shard_latency: Vec<Arc<Histogram>>,
     retries: Arc<Counter>,
     hedges: Arc<Counter>,
@@ -239,18 +183,12 @@ struct Metrics {
     phase_write: Arc<Histogram>,
 }
 
-/// Index of a compute op into the `req`/`lat` handle arrays.
-const OPS: [&str; 5] = ["compile", "run", "sweep", "attack", "batch"];
-
-fn op_slot(op: &str) -> Option<usize> {
-    OPS.iter().position(|&o| o == op)
-}
-
 impl Metrics {
     fn new(registry: &Registry, shards: usize) -> Metrics {
         Metrics {
-            req: OPS.map(|op| registry.counter(&format!("router_requests_total{{op=\"{op}\"}}"))),
-            lat: OPS
+            req: COMPUTE_OPS
+                .map(|op| registry.counter(&format!("router_requests_total{{op=\"{op}\"}}"))),
+            lat: COMPUTE_OPS
                 .map(|op| registry.histogram(&format!("router_request_latency_us{{op=\"{op}\"}}"))),
             shard_latency: (0..shards)
                 .map(|i| registry.histogram(&format!("router_shard_latency_us{{shard=\"{i}\"}}")))
@@ -308,12 +246,7 @@ pub(crate) fn run(
             state: SState::Down { retry_at: now },
             generation: 0,
             token: None,
-            stream: None,
-            framer: Framer::new(),
-            wbuf: WriteBuf::new(),
-            writable: true,
-            close_after_flush: false,
-            write_stuck_since: None,
+            link: None,
             breaker: Breaker::new(
                 config.breaker_threshold,
                 Duration::from_millis(config.breaker_cooloff_ms),
@@ -366,22 +299,9 @@ impl RouterLoop {
                     TOKEN_WAKER => self.shared.waker.drain(),
                     token => {
                         if let Some(idx) = self.shards.iter().position(|s| s.token == Some(token)) {
-                            let s = &mut self.shards[idx];
-                            if ev.writable {
-                                s.writable = true;
-                                s.write_stuck_since = None;
-                            }
-                            if ev.readable || ev.hangup {
-                                read_shard(s, idx, now, &mut shard_lines);
-                            }
+                            self.read_shard(idx, ev, now, &mut shard_lines);
                         } else if let Some(u) = self.ups.get_mut(&token) {
-                            if ev.writable {
-                                u.writable = true;
-                                u.write_stuck_since = None;
-                            }
-                            if ev.readable || ev.hangup {
-                                read_upstream(u, now);
-                            }
+                            u.on_event(ev, now);
                         }
                     }
                 }
@@ -395,7 +315,7 @@ impl RouterLoop {
             // terminals still count.
             for idx in 0..self.shards.len() {
                 if matches!(self.shards[idx].state, SState::Ready | SState::Handshaking { .. })
-                    && self.shards[idx].stream.is_none()
+                    && self.shards[idx].link.is_none()
                 {
                     self.shard_failed(poller, idx, now);
                 }
@@ -417,7 +337,7 @@ impl RouterLoop {
             }
             self.dispatch(now);
             for u in self.ups.values_mut() {
-                flush_upstream(&self.metrics, u, now);
+                u.flush(now, &self.metrics.phase_write);
             }
             self.flush_shards(poller, now);
             self.reap_upstreams(poller);
@@ -431,9 +351,8 @@ impl RouterLoop {
             }
         }
         for s in &mut self.shards {
-            if let Some(stream) = s.stream.take() {
-                let _ = poller.delete(stream.as_raw_fd());
-                let _ = stream.shutdown(Shutdown::Both);
+            if let Some(link) = s.link.take() {
+                link.close(poller);
             }
         }
         Ok(())
@@ -504,50 +423,15 @@ impl RouterLoop {
     fn process_pending(&mut self, token: u64, now: Instant) {
         loop {
             let Some(u) = self.ups.get_mut(&token) else { return };
-            if u.close_after_flush || u.dead {
-                return;
-            }
-            if u.mode == Mode::Legacy && u.legacy_busy {
-                return;
-            }
-            let Some(front) = u.pending.front_mut() else { return };
-            match front {
-                PendingItem::TooLong { recovered } => {
-                    let recovered = *recovered;
-                    u.pending.pop_front();
-                    let e = ServiceError::new(
-                        ErrorCode::BadRequest,
-                        format!("request exceeds {MAX_REQUEST_BYTES} bytes"),
-                    );
-                    enqueue_upstream(&self.shared, u, &e.to_json(), now);
-                    if !recovered {
-                        u.close_after_flush = true;
-                        u.stop_reading = true;
-                    }
-                }
-                PendingItem::Line { release, rolled, .. } => {
-                    if !*rolled {
-                        *rolled = true;
-                        if let Some(stall) = self.shared.injector.stall(FaultSite::ReadStall) {
-                            *release = Some(now + stall);
-                        }
-                    }
-                    if release.is_some_and(|r| now < r) {
-                        return;
-                    }
-                    let Some(PendingItem::Line { line, .. }) = u.pending.pop_front() else {
-                        return;
-                    };
-                    self.handle_upstream_line(token, &line, now);
-                }
-            }
+            let Some(line) = u.next_line(&self.shared.injector, now) else { return };
+            self.handle_upstream_line(token, &line, now);
         }
     }
 
     /// Queue a line on one upstream connection, if it is still around.
     fn reply(&mut self, token: u64, line: &str, now: Instant) {
         if let Some(u) = self.ups.get_mut(&token) {
-            enqueue_upstream(&self.shared, u, line, now);
+            u.send(&self.shared.injector, line, now);
         }
     }
 
@@ -561,7 +445,7 @@ impl RouterLoop {
         let Some(slot) = scanned.value("type").and_then(scan::str_inner).and_then(op_slot) else {
             return false;
         };
-        let op = OPS[slot];
+        let op = COMPUTE_OPS[slot];
         // The raw id span doubles as the pre-encoded id. Escaped or
         // exotic ids take the slow path, which also produces the proper
         // error for the invalid ones.
@@ -603,15 +487,9 @@ impl RouterLoop {
                 return false; // fan-out slices inputs, which needs the tree
             }
         }
-        if let Some(id_str) = id.as_deref() {
-            if self.ups.get_mut(&token).is_some_and(|u| !u.ids.admit(id_str)) {
-                let e = ServiceError::new(
-                    ErrorCode::BadRequest,
-                    format!("request id {id_str} was already used on this connection"),
-                );
-                self.reply(token, &with_id(&e.to_json(), id.as_deref()), now);
-                return true;
-            }
+        if let Some(refusal) = self.ups.get_mut(&token).and_then(|u| u.check_id(id.as_deref())) {
+            self.reply(token, &refusal, now);
+            return true;
         }
         self.metrics.req[slot].inc();
         if self.jobs.len() >= self.cfg.max_inflight {
@@ -644,10 +522,7 @@ impl RouterLoop {
         self.jobs.insert(job_id, job);
         self.ready.push_back((job_id, 0));
         if let Some(u) = self.ups.get_mut(&token) {
-            u.jobs.insert(job_id);
-            if u.mode == Mode::Legacy {
-                u.legacy_busy = true;
-            }
+            u.inflight.insert(job_id, ());
         }
         true
     }
@@ -660,44 +535,8 @@ impl RouterLoop {
         if self.try_fast_path(token, trimmed, now) {
             return;
         }
-        let envelope = match Envelope::parse(trimmed) {
-            Ok(e) => e,
-            Err(e) => {
-                self.reply(token, &e.to_json(), now);
-                return;
-            }
-        };
-        let mode = match self.ups.get(&token) {
-            Some(u) => u.mode,
-            None => return,
-        };
-        if mode == Mode::V2 && envelope.id.is_none() {
-            let e = ServiceError::new(
-                ErrorCode::BadRequest,
-                "v2 requests must carry an id (responses are matched by it)",
-            );
-            self.reply(token, &e.to_json(), now);
-            return;
-        }
-        let id = envelope.id;
-        if let Some(id_str) = id.as_deref() {
-            let replay = self.ups.get_mut(&token).is_some_and(|u| !u.ids.admit(id_str));
-            if replay {
-                let e = ServiceError::new(
-                    ErrorCode::BadRequest,
-                    format!("request id {id_str} was already used on this connection"),
-                );
-                self.reply(token, &with_id(&e.to_json(), id.as_deref()), now);
-                return;
-            }
-        }
-        let request = match envelope.req {
-            Ok(r) => r,
-            Err(e) => {
-                self.reply(token, &with_id(&e.to_json(), id.as_deref()), now);
-                return;
-            }
-        };
+        let Some(u) = self.ups.get_mut(&token) else { return };
+        let Some((request, id, _)) = u.admit(&self.shared.injector, trimmed, now) else { return };
         self.shared
             .registry
             .counter(&format!("router_requests_total{{op=\"{}\"}}", request.op_name()))
@@ -705,27 +544,7 @@ impl RouterLoop {
         let body = match request {
             Request::Hello { proto } => {
                 let Some(u) = self.ups.get_mut(&token) else { return };
-                if u.mode == Mode::V2 {
-                    ServiceError::new(
-                        ErrorCode::BadRequest,
-                        "duplicate hello: this connection already speaks v2",
-                    )
-                    .to_json()
-                } else if proto != PROTO_VERSION {
-                    ServiceError::new(
-                        ErrorCode::BadRequest,
-                        format!("unsupported protocol version {proto} (this server speaks 2)"),
-                    )
-                    .to_json()
-                } else {
-                    u.mode = Mode::V2;
-                    Json::obj()
-                        .with("ok", true)
-                        .with("type", "hello")
-                        .with("proto", PROTO_VERSION)
-                        .with("streaming", true)
-                        .encode()
-                }
+                u.hello(proto)
             }
             Request::Stats => self.stats_line(now),
             Request::Health => self.health_line(now),
@@ -751,7 +570,7 @@ impl RouterLoop {
                 let body = Json::obj().with("ok", true).with("type", "shutdown").encode();
                 self.reply(token, &with_id(&body, id.as_deref()), now);
                 if let Some(u) = self.ups.get_mut(&token) {
-                    u.close_after_flush = true;
+                    u.link.close_after_flush = true;
                 }
                 self.shared.initiate_shutdown();
                 return;
@@ -778,12 +597,11 @@ impl RouterLoop {
         if self.jobs.len() >= self.cfg.max_inflight {
             self.metrics.shed.inc();
             let hint = self.retry_hint_ms(now);
-            let Some(u) = self.ups.get_mut(&token) else { return };
             let body = busy_line(
                 &format!("router at max inflight ({}); retry later", self.cfg.max_inflight),
                 hint,
             );
-            enqueue_upstream(&self.shared, u, &with_id(&body, id.as_deref()), now);
+            self.reply(token, &with_id(&body, id.as_deref()), now);
             return;
         }
         let source = match &request {
@@ -837,10 +655,7 @@ impl RouterLoop {
         self.jobs.insert(job_id, job);
         self.ready.extend((0..n_chunks).map(|ci| (job_id, ci)));
         if let Some(u) = self.ups.get_mut(&token) {
-            u.jobs.insert(job_id);
-            if u.mode == Mode::Legacy {
-                u.legacy_busy = true;
-            }
+            u.inflight.insert(job_id, ());
         }
     }
 
@@ -922,7 +737,7 @@ impl RouterLoop {
             seen: 0,
         });
         self.shards[shard].inflight.insert(sid, (job_id, ci));
-        enqueue_shard(&self.shared, &mut self.shards[shard], &line, now);
+        self.send_shard(shard, &line, now);
     }
 
     /// A chunk's active send failed: clear its sends and requeue it with
@@ -964,11 +779,8 @@ impl RouterLoop {
             }
         }
         if let Some(u) = self.ups.get_mut(&job.upstream) {
-            u.jobs.remove(&job_id);
-            if u.mode == Mode::Legacy {
-                u.legacy_busy = false;
-            }
-            enqueue_upstream(&self.shared, u, &with_id(body, job.id.as_deref()), now);
+            u.inflight.remove(&job_id);
+            u.send(&self.shared.injector, &with_id(body, job.id.as_deref()), now);
         }
     }
 
@@ -1006,11 +818,8 @@ impl RouterLoop {
             self.metrics.lat[slot].observe_duration(now.duration_since(job.started));
         }
         if let Some(u) = self.ups.get_mut(&job.upstream) {
-            u.jobs.remove(&job_id);
-            if u.mode == Mode::Legacy {
-                u.legacy_busy = false;
-            }
-            enqueue_upstream(&self.shared, u, &body, now);
+            u.inflight.remove(&job_id);
+            u.send(&self.shared.injector, &body, now);
         }
     }
 
@@ -1031,7 +840,7 @@ impl RouterLoop {
                 } else {
                     // Wrong protocol or an error ack: drop the link; the
                     // sweep tears it down and schedules a redial.
-                    s.stream = None;
+                    s.link = None;
                 }
             }
             SState::Ready => {
@@ -1130,9 +939,7 @@ impl RouterLoop {
         };
         job.seq += 1;
         self.metrics.frames_merged.inc();
-        if let Some(u) = self.ups.get_mut(&upstream) {
-            enqueue_upstream(&self.shared, u, &out, now);
-        }
+        self.reply(upstream, &out, now);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1235,19 +1042,9 @@ impl RouterLoop {
                     let deadline = now + self.cfg.probe_timeout();
                     let s = &mut self.shards[idx];
                     s.token = Some(token);
-                    s.stream = Some(stream);
+                    s.link = Some(Link::new(stream, now));
                     s.state = SState::Handshaking { deadline };
-                    s.framer = Framer::new();
-                    s.wbuf = WriteBuf::new();
-                    s.writable = true;
-                    s.close_after_flush = false;
-                    s.write_stuck_since = None;
-                    enqueue_shard(
-                        &self.shared,
-                        &mut self.shards[idx],
-                        "{\"id\":\"h0\",\"type\":\"hello\",\"proto\":2}",
-                        now,
-                    );
+                    self.send_shard(idx, "{\"id\":\"h0\",\"type\":\"hello\",\"proto\":2}", now);
                 }
                 Err(_) => self.shard_failed(poller, idx, now),
             }
@@ -1289,16 +1086,10 @@ impl RouterLoop {
             let s = &mut self.shards[idx];
             s.breaker.on_failure(now);
             s.generation += 1; // invalidate any in-flight dial
-            if let Some(stream) = s.stream.take() {
-                let _ = poller.delete(stream.as_raw_fd());
-                let _ = stream.shutdown(Shutdown::Both);
+            if let Some(link) = s.link.take() {
+                link.close(poller);
             }
             s.token = None;
-            s.framer = Framer::new();
-            s.wbuf = WriteBuf::new();
-            s.writable = true;
-            s.close_after_flush = false;
-            s.write_stuck_since = None;
             s.probe = None;
             s.healthy = false;
             s.state = SState::Down { retry_at };
@@ -1331,9 +1122,9 @@ impl RouterLoop {
                     // Wedged: no probe reply inside the window, or a
                     // write stuck past the frame timeout.
                     if s.probe.as_ref().is_some_and(|(_, deadline)| now >= *deadline)
-                        || s.write_stuck_since.is_some_and(|since| {
-                            now.duration_since(since) >= self.cfg.frame_timeout()
-                        })
+                        || s.link
+                            .as_ref()
+                            .is_some_and(|l| l.write_stuck(now, self.cfg.frame_timeout()))
                     {
                         2
                     } else if s.probe.is_none() && now >= s.next_probe_at {
@@ -1353,7 +1144,7 @@ impl RouterLoop {
                     let line = format!("{{\"id\":{},\"type\":\"health\"}}", json::escape(&sid));
                     let deadline = now + self.cfg.probe_timeout();
                     self.shards[idx].probe = Some((sid, deadline));
-                    enqueue_shard(&self.shared, &mut self.shards[idx], &line, now);
+                    self.send_shard(idx, &line, now);
                 }
                 _ => {}
             }
@@ -1417,70 +1208,53 @@ impl RouterLoop {
             self.send_chunk(job_id, ci, target, now);
         }
         // Upstream timers: frame stalls, stuck writes, idle reaping.
+        let (frame_timeout, idle_timeout) = (self.cfg.frame_timeout(), self.cfg.idle_timeout());
         for u in self.ups.values_mut() {
-            if u.dead {
-                continue;
-            }
-            if !u.close_after_flush {
-                if let Some(started) = u.framer.frame_started() {
-                    if now.duration_since(started) >= self.cfg.frame_timeout() {
-                        let e = ServiceError::new(
-                            ErrorCode::BadRequest,
-                            "request frame stalled mid-transfer",
-                        );
-                        enqueue_upstream(&self.shared, u, &e.to_json(), now);
-                        u.close_after_flush = true;
-                        u.stop_reading = true;
-                    }
-                }
-            }
-            if u.write_stuck_since
-                .is_some_and(|since| now.duration_since(since) >= self.cfg.frame_timeout())
-            {
-                u.dead = true;
-                continue;
-            }
-            if u.quiescent()
-                && !u.framer.mid_frame()
-                && now.duration_since(u.last_activity) >= self.cfg.idle_timeout()
-            {
-                u.dead = true;
-            }
+            u.sweep_timers(&self.shared.injector, now, frame_timeout, idle_timeout);
         }
     }
 
     // ---------------------------------------------------------------- flush / reap
 
+    /// Drain a shard socket; its complete lines are collected for
+    /// handling after the event sweep. EOF or a read error drops the
+    /// link, which the main loop turns into a `shard_failed` teardown
+    /// only after the buffered lines (a dying shard's last terminals)
+    /// were handled.
+    fn read_shard(
+        &mut self,
+        idx: usize,
+        ev: &net::Event,
+        now: Instant,
+        out: &mut Vec<(usize, String)>,
+    ) {
+        let s = &mut self.shards[idx];
+        let Some(link) = &mut s.link else { return };
+        let mut frames = Vec::new();
+        if !link.on_event(ev, now, &mut frames) {
+            s.link = None; // dropping the link closes its socket
+        }
+        out.extend(frames.into_iter().filter_map(|frame| match frame {
+            FrameEvent::Line(line) => Some((idx, line)),
+            FrameEvent::TooLong { .. } => None,
+        }));
+    }
+
+    /// Queue a downstream request line. The write faults apply here too:
+    /// a truncated router→shard line kills the link (reading goes on
+    /// until the flush), which exercises the retry path.
+    fn send_shard(&mut self, idx: usize, line: &str, now: Instant) {
+        if let Some(link) = &mut self.shards[idx].link {
+            link.enqueue(&self.shared.injector, line, now);
+        }
+    }
+
     fn flush_shards(&mut self, poller: &Poller, now: Instant) {
         for idx in 0..self.shards.len() {
-            let s = &mut self.shards[idx];
-            let Some(stream) = &s.stream else { continue };
-            if !s.writable {
-                continue;
-            }
-            let mut died = false;
-            loop {
-                let slice = s.wbuf.writable_slice(now);
-                if slice.is_empty() {
-                    break;
-                }
-                match (&*stream).write(slice) {
-                    Ok(n) => s.wbuf.advance(n, now),
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                        s.writable = false;
-                        s.write_stuck_since.get_or_insert(now);
-                        break;
-                    }
-                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        died = true;
-                        break;
-                    }
-                }
-            }
-            if died || (s.close_after_flush && s.wbuf.is_empty()) {
-                // A truncated fault-injected write killed the link's
-                // framing: same recovery as a real link death.
+            let Some(link) = &mut self.shards[idx].link else { continue };
+            if !link.flush(now, None) {
+                // A write failed, or a truncated fault-injected write
+                // killed the link's framing: same recovery either way.
                 self.shard_failed(poller, idx, now);
             }
         }
@@ -1488,22 +1262,13 @@ impl RouterLoop {
 
     fn reap_upstreams(&mut self, poller: &Poller) {
         let draining = self.shared.shutdown.load(Ordering::SeqCst);
-        let closing: Vec<u64> = self
-            .ups
-            .iter()
-            .filter(|(_, u)| {
-                u.dead
-                    || (u.peer_closed && u.quiescent())
-                    || (draining && u.quiescent() && !u.framer.mid_frame())
-            })
-            .map(|(&t, _)| t)
-            .collect();
+        let closing: Vec<u64> =
+            self.ups.iter().filter(|(_, u)| u.finished(draining)).map(|(&t, _)| t).collect();
         for token in closing {
             let Some(u) = self.ups.remove(&token) else { continue };
-            let _ = poller.delete(u.stream.as_raw_fd());
-            let _ = u.stream.shutdown(Shutdown::Both);
-            self.shared.registry.gauge("router_connections_open").sub(1);
-            for job_id in u.jobs {
+            u.link.close(poller);
+            self.metrics.connections_open.sub(1);
+            for job_id in u.inflight.into_keys() {
                 if let Some(job) = self.jobs.remove(&job_id) {
                     for chunk in &job.chunks {
                         for s in &chunk.sends {
@@ -1581,141 +1346,4 @@ fn busy_line(message: &str, retry_after_ms: u64) -> String {
         .with("error", message)
         .with("retry_after_ms", retry_after_ms)
         .encode()
-}
-
-fn read_upstream(u: &mut Upstream, now: Instant) {
-    let mut chunk = [0u8; 16 * 1024];
-    let mut frames = Vec::new();
-    loop {
-        match (&u.stream).read(&mut chunk) {
-            Ok(0) => {
-                u.peer_closed = true;
-                break;
-            }
-            Ok(n) => {
-                u.last_activity = now;
-                if !u.stop_reading {
-                    u.framer.feed(&chunk[..n], now, &mut frames);
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => {
-                u.peer_closed = true;
-                break;
-            }
-        }
-    }
-    for ev in frames {
-        match ev {
-            FrameEvent::Line(line) => {
-                u.pending.push_back(PendingItem::Line { line, release: None, rolled: false });
-            }
-            FrameEvent::TooLong { recovered } => {
-                u.pending.push_back(PendingItem::TooLong { recovered });
-            }
-        }
-    }
-}
-
-/// Drain a shard socket; complete lines are collected for handling
-/// after the event sweep. EOF / a read error drops the stream, which
-/// the main loop turns into a `shard_failed` teardown — after the
-/// buffered lines (a dying shard's final terminals) were processed.
-fn read_shard(s: &mut ShardConn, idx: usize, now: Instant, out: &mut Vec<(usize, String)>) {
-    let Some(stream) = &s.stream else { return };
-    let mut chunk = [0u8; 16 * 1024];
-    let mut frames = Vec::new();
-    let mut died = false;
-    loop {
-        match (&*stream).read(&mut chunk) {
-            Ok(0) => {
-                died = true;
-                break;
-            }
-            Ok(n) => s.framer.feed(&chunk[..n], now, &mut frames),
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => {
-                died = true;
-                break;
-            }
-        }
-    }
-    for ev in frames {
-        if let FrameEvent::Line(line) = ev {
-            out.push((idx, line));
-        }
-    }
-    if died {
-        if let Some(stream) = s.stream.take() {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-    }
-}
-
-/// Queue an upstream response line, applying the write-side fault sites.
-fn enqueue_upstream(shared: &Arc<RouterShared>, u: &mut Upstream, line: &str, now: Instant) {
-    u.last_activity = now;
-    if shared.injector.fire(FaultSite::WriteTrunc) {
-        u.wbuf.enqueue_truncated(line);
-        u.close_after_flush = true;
-        u.stop_reading = true;
-    } else if let Some(stall) = shared.injector.stall(FaultSite::WriteStall) {
-        u.wbuf.enqueue_stalled(line, stall, now);
-    } else {
-        u.wbuf.enqueue(line);
-    }
-}
-
-/// Queue a downstream request line. The same write faults apply — a
-/// truncated router→shard frame kills the link and exercises the retry
-/// path, which is the point of running chaos on this hop.
-fn enqueue_shard(shared: &Arc<RouterShared>, s: &mut ShardConn, line: &str, now: Instant) {
-    if shared.injector.fire(FaultSite::WriteTrunc) {
-        s.wbuf.enqueue_truncated(line);
-        s.close_after_flush = true;
-    } else if let Some(stall) = shared.injector.stall(FaultSite::WriteStall) {
-        s.wbuf.enqueue_stalled(line, stall, now);
-    } else {
-        s.wbuf.enqueue(line);
-    }
-}
-
-fn flush_upstream(metrics: &Metrics, u: &mut Upstream, now: Instant) {
-    if u.dead || !u.writable {
-        return;
-    }
-    let start = Instant::now();
-    let mut wrote_any = false;
-    loop {
-        let slice = u.wbuf.writable_slice(now);
-        if slice.is_empty() {
-            break;
-        }
-        match (&u.stream).write(slice) {
-            Ok(n) => {
-                wrote_any = true;
-                u.wbuf.advance(n, now);
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                u.writable = false;
-                u.write_stuck_since.get_or_insert(now);
-                break;
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => {
-                u.dead = true;
-                return;
-            }
-        }
-    }
-    if wrote_any {
-        u.write_stuck_since = None;
-        metrics.phase_write.observe_duration(start.elapsed());
-    }
-    if u.close_after_flush && u.wbuf.is_empty() {
-        let _ = u.stream.shutdown(Shutdown::Both);
-        u.dead = true;
-    }
 }

@@ -12,11 +12,12 @@
 //!                                               crashed workers (backoff)
 //! ```
 //!
-//! The socket side lives in `event_loop` (readiness loop,
-//! per-connection state machines, v1/v2 protocol modes), the compute
-//! side in `pool` (job queue, workers, supervisor, completion
-//! routing). This module owns configuration, the shared state both
-//! sides hang off, and the start/shutdown/join lifecycle.
+//! The socket side lives in `event_loop` (the readiness loop) on top
+//! of `conn` (per-connection state machines and v1/v2 protocol modes,
+//! shared with the router), the compute side in `pool` (job queue,
+//! workers, supervisor, completion routing). This module owns
+//! configuration, the shared state both sides hang off, and the
+//! start/shutdown/join lifecycle.
 //!
 //! Robustness posture (see `docs/robustness.md`):
 //!
@@ -48,7 +49,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use sempe_core::json::Json;
-use sempe_core::telemetry::{Counter, Gauge, Registry, TraceLog};
+use sempe_core::telemetry::{Counter, Gauge, Histogram, Registry, TraceLog};
 
 use crate::cache::ResultCache;
 use crate::event_loop::run_event_loop;
@@ -56,7 +57,7 @@ use crate::exec::ForkCache;
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::net::Poller;
 use crate::pool::{spawn_worker, supervisor_loop, CompletionQueue, JobQueue};
-use crate::protocol::MetricsFormat;
+use crate::protocol::{MetricsFormat, COMPUTE_OPS};
 use crate::sync;
 
 /// The event loop's fallback tick: the longest completions can sit
@@ -68,8 +69,6 @@ pub(crate) const LOOP_TICK_MS: i32 = 25;
 pub(crate) const QUEUED_DEADLINE_GRACE: Duration = Duration::from_millis(100);
 /// Ceiling on one supervisor backoff pause.
 pub(crate) const MAX_BACKOFF_MS: u64 = 2_000;
-/// Per-connection window of remembered request ids (reuse detection).
-pub(crate) const ID_WINDOW: usize = 1024;
 
 /// Server tunables.
 #[derive(Debug, Clone)]
@@ -190,6 +189,10 @@ pub(crate) struct Shared {
     pub(crate) inflight_requests: Arc<Gauge>,
     /// Streamed v2 progress frames emitted by workers.
     pub(crate) stream_frames: Arc<Counter>,
+    /// `requests_total` per compute op, in [`COMPUTE_OPS`] order.
+    pub(crate) requests: [Arc<Counter>; COMPUTE_OPS.len()],
+    /// The event loop's socket-write phase.
+    pub(crate) phase_write: Arc<Histogram>,
     /// Connection tokens, unique across event-loop respawns so stale
     /// completions can never be misrouted to a new connection.
     pub(crate) next_token: AtomicU64,
@@ -433,6 +436,9 @@ impl Server {
             connections_open: registry.gauge("connections_open"),
             inflight_requests: registry.gauge("inflight_requests"),
             stream_frames: registry.counter("stream_frames_total"),
+            requests: COMPUTE_OPS
+                .map(|op| registry.counter(&format!("requests_total{{op=\"{op}\"}}"))),
+            phase_write: registry.histogram("phase_latency_us{phase=\"write\"}"),
             next_token: AtomicU64::new(2),
             next_serial: AtomicU64::new(0),
             started: Instant::now(),

@@ -25,7 +25,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use sempe_core::json::{self, Json};
-use sempe_service::{FaultPlan, Server, ServiceConfig};
+use sempe_service::{FaultPlan, FaultSite, Router, RouterConfig, Server, ServiceConfig};
 
 const MODEXP: &str = r"
     secret key = 0b1011;
@@ -156,37 +156,18 @@ fn golden(pool: &[String]) -> HashMap<String, String> {
     expected
 }
 
-#[test]
-fn chaos_soak_converges_to_fault_free_bytes() {
-    const CLIENTS: usize = 6;
-    const PASSES: usize = 2;
-    const RETRY_BUDGET: u32 = 200;
+const CLIENTS: usize = 6;
+const PASSES: usize = 2;
+const RETRY_BUDGET: u32 = 200;
 
-    let profile = chaos_profile();
-    let seed = chaos_seed();
-    let pool = request_pool();
-    let expected = golden(&pool);
-
-    let server = Server::start(&ServiceConfig {
-        workers: 3,
-        queue_capacity: 32,
-        restart_budget: 100_000,
-        backoff_base_ms: 1,
-        frame_timeout_ms: 5_000,
-        drain_timeout_ms: 5_000,
-        fault_plan: Some(profile_plan(&profile, seed)),
-        ..ServiceConfig::default()
-    })
-    .expect("chaos server");
-    let addr = server.local_addr();
-
-    let started = Instant::now();
+/// Run the soak's clients against one front door. Returns the total
+/// attempts spent; every divergence or non-convergence panics.
+fn soak(addr: SocketAddr, pool: &[String], expected: &HashMap<String, String>) -> u64 {
     let failures: Mutex<Vec<String>> = Mutex::new(Vec::new());
     let attempts_total: Mutex<u64> = Mutex::new(0);
     std::thread::scope(|s| {
         for client in 0..CLIENTS {
-            let (pool, expected, failures, attempts_total) =
-                (&pool, &expected, &failures, &attempts_total);
+            let (failures, attempts_total) = (&failures, &attempts_total);
             s.spawn(move || {
                 for pass in 0..PASSES {
                     for i in 0..pool.len() {
@@ -216,52 +197,120 @@ fn chaos_soak_converges_to_fault_free_bytes() {
     });
     let failures = failures.into_inner().unwrap();
     assert!(failures.is_empty(), "soak failures:\n{}", failures.join("\n---\n"));
+    let attempts = attempts_total.into_inner().unwrap();
+    assert!(attempts >= (CLIENTS * PASSES * pool.len()) as u64, "attempt accounting is broken");
+    attempts
+}
 
+/// Sum of the per-site injection counts in a `health` reply's ledger.
+fn injected_total(health: &Json) -> u64 {
+    let faults = health.get("faults").expect("faults section");
+    let injected = faults.get("injected").expect("injected counts");
+    FaultSite::ALL.iter().filter_map(|site| injected.get(site.name()).and_then(Json::as_u64)).sum()
+}
+
+/// The soak runs twice with the same fault plan: against a chaos
+/// server, and through a chaos router in front of fault-free shards
+/// (the router applies the plan to its client side and to its shard
+/// links). Both front doors must converge to the fault-free bytes.
+#[test]
+fn chaos_soak_converges_to_fault_free_bytes() {
+    let profile = chaos_profile();
+    let seed = chaos_seed();
+    let plan = profile_plan(&profile, seed);
+    let pool = request_pool();
+    let expected = golden(&pool);
+
+    let server = Server::start(&ServiceConfig {
+        workers: 3,
+        queue_capacity: 32,
+        restart_budget: 100_000,
+        backoff_base_ms: 1,
+        frame_timeout_ms: 5_000,
+        drain_timeout_ms: 5_000,
+        fault_plan: Some(plan.clone()),
+        ..ServiceConfig::default()
+    })
+    .expect("chaos server");
+    let addr = server.local_addr();
+    let started = Instant::now();
+    let attempts = soak(addr, &pool, &expected);
     // Pull the health/fault ledger for the report before draining.
     let (health, _) = converge(addr, r#"{"type":"health"}"#, 50).expect("health converges");
     let health_json = json::parse(&health).expect("health parses");
+    let elapsed_ms = u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX);
     server.shutdown();
     server.join();
 
-    let exchanges = (CLIENTS * PASSES * pool.len()) as u64;
-    let attempts = *attempts_total.lock().unwrap();
+    let shards: Vec<Server> = (0..2)
+        .map(|_| {
+            Server::start(&ServiceConfig { workers: 2, ..ServiceConfig::default() }).expect("shard")
+        })
+        .collect();
+    let router = Router::start(&RouterConfig {
+        shards: shards.iter().map(|s| s.local_addr().to_string()).collect(),
+        probe_interval_ms: 50,
+        retry_base_ms: 20,
+        breaker_cooloff_ms: 100,
+        breaker_max_cooloff_ms: 500,
+        frame_timeout_ms: 5_000,
+        drain_timeout_ms: 5_000,
+        fault_plan: Some(plan.clone()),
+        seed,
+        ..RouterConfig::default()
+    })
+    .expect("chaos router");
+    let routed_started = Instant::now();
+    let routed_attempts = soak(router.local_addr(), &pool, &expected);
+    let (routed_health, _) =
+        converge(router.local_addr(), r#"{"type":"health"}"#, 50).expect("router health");
+    let routed_json = json::parse(&routed_health).expect("router health parses");
+    let routed_ms = u64::try_from(routed_started.elapsed().as_millis()).unwrap_or(u64::MAX);
+    router.shutdown();
+    router.join();
+    for shard in shards {
+        shard.shutdown();
+        shard.join();
+    }
+
     if let Ok(path) = std::env::var("SEMPE_CHAOS_REPORT") {
+        let routed = Json::obj()
+            .with("attempts", routed_attempts)
+            .with("elapsed_ms", routed_ms)
+            .with("health", routed_json.clone());
         let report = Json::obj()
             .with("profile", profile.as_str())
             .with("seed", seed)
             .with("clients", CLIENTS)
             .with("passes", PASSES)
             .with("unique_requests", pool.len())
-            .with("exchanges", exchanges)
+            .with("exchanges", CLIENTS * PASSES * pool.len())
             .with("attempts", attempts)
-            .with("elapsed_ms", u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX))
+            .with("elapsed_ms", elapsed_ms)
             .with("health", health_json.clone())
+            .with("routed", routed)
             .encode();
         std::fs::write(&path, report + "\n").expect("write chaos report");
     }
-    assert!(attempts >= exchanges, "attempt accounting is broken");
     // The plan actually bit: a chaos run that injected nothing proves
     // nothing. Every profile has multi-percent rates over hundreds of
-    // site visits, so zero injections means mis-wiring.
-    let faults = health_json.get("faults").expect("faults section");
-    let injected = faults.get("injected").expect("injected counts");
-    let total: u64 = [
-        "accept_drop",
-        "accept_storm",
-        "read_stall",
-        "write_stall",
-        "write_trunc",
-        "wake_lost",
-        "panic_pre",
-        "panic_post",
-        "wedge",
-        "cache_fail",
-        "arena_corrupt",
-    ]
-    .iter()
-    .filter_map(|k| injected.get(k).and_then(Json::as_u64))
-    .sum();
-    assert!(total > 0, "fault plan never fired — injector not wired? {health}");
+    // site visits, so zero injections means mis-wiring. The router
+    // only visits the connection sites, which the `panic` profile
+    // leaves at zero.
+    assert!(
+        injected_total(&health_json) > 0,
+        "fault plan never fired — injector not wired? {health}"
+    );
+    let router_sites = [
+        FaultSite::AcceptDrop,
+        FaultSite::AcceptStorm,
+        FaultSite::ReadStall,
+        FaultSite::WriteStall,
+        FaultSite::WriteTrunc,
+    ];
+    if router_sites.iter().any(|&site| plan.rate(site) > 0) {
+        assert!(injected_total(&routed_json) > 0, "router never injected: {routed_health}");
+    }
 }
 
 /// The wedged-simulation acceptance criterion: a request whose worker

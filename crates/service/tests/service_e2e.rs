@@ -299,6 +299,27 @@ fn hostile_nesting_gets_e_wir_and_the_connection_keeps_serving() {
     server.join();
 }
 
+#[test]
+fn oversized_array_gets_e_wir_and_the_connection_keeps_serving() {
+    let server = start(1);
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    // 4e9 words made codegen attempt a 32 GB allocation and abort.
+    let huge = "array a[4000000000]; var out = 0; out = a[1]; output out;";
+    let huge = format!(r#"{{"type":"run","source":{}}}"#, json::escape(huge));
+    let next = format!(r#"{{"type":"run","source":{}}}"#, json::escape(MODEXP));
+    writeln!(stream, "{huge}\n{next}").expect("send");
+    let mut resp = String::new();
+    reader.read_line(&mut resp).expect("first");
+    assert!(resp.contains("\"E_WIR\""), "{resp}");
+    assert!(resp.contains("data segment"), "{resp}");
+    resp.clear();
+    reader.read_line(&mut resp).expect("second");
+    assert!(resp.contains("\"ok\":true"), "the same connection serves on: {resp}");
+    server.shutdown();
+    server.join();
+}
+
 /// Regression for the shutdown truncation bug: `Server::join` used to
 /// force-close every connection stream right after joining the workers,
 /// cutting off handlers mid-write. The drain window must let an
