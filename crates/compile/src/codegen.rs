@@ -28,7 +28,7 @@ use core::fmt;
 use std::collections::BTreeSet;
 
 use sempe_isa::asm::Asm;
-use sempe_isa::mem::Memory;
+use sempe_isa::mem::{word_image, Memory};
 use sempe_isa::program::Program;
 use sempe_isa::reg::{abi, Reg};
 use sempe_isa::Addr;
@@ -206,16 +206,10 @@ impl<'p> Lowerer<'p> {
         let vars_base =
             if prog.var_count() == 0 { a.zero_data(8) } else { a.data_words(&prog.var_init) };
         let base_off: Vec<i64> = (0..prog.var_count()).map(|i| (i * 8) as i64).collect();
-        // Arrays (with initializers).
-        let arr_base = prog
-            .arrays()
-            .iter()
-            .map(|d| {
-                let mut words = d.init.clone();
-                words.resize(d.len, 0);
-                a.data_words(&words)
-            })
-            .collect();
+        // Arrays (with initializers): each one's zero-padded image is
+        // encoded once, straight into the buffer the data segment keeps.
+        let arr_base =
+            prog.arrays().iter().map(|d| a.data_bytes(word_image(&d.init, d.len))).collect();
         Lowerer {
             prog,
             backend,

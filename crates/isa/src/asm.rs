@@ -36,6 +36,7 @@ use std::collections::BTreeMap;
 use crate::encode::encode_into;
 use crate::error::AsmError;
 use crate::insn::Inst;
+use crate::mem::word_image;
 use crate::opcode::Opcode;
 use crate::program::{layout, Program};
 use crate::reg::Reg;
@@ -154,22 +155,19 @@ impl Asm {
 
     // ---- data segment ------------------------------------------------
 
-    /// Allocate `bytes` in the data segment; returns its address.
-    pub fn data_bytes(&mut self, bytes: &[u8]) -> Addr {
+    /// Allocate an already-encoded byte image in the data segment (the
+    /// segment keeps the buffer itself); returns its address.
+    pub fn data_bytes(&mut self, bytes: Vec<u8>) -> Addr {
         let addr = self.data_cursor;
-        self.data.push((addr, bytes.to_vec()));
         self.data_cursor += bytes.len() as Addr;
+        self.data.push((addr, bytes));
         self.align_data(8);
         addr
     }
 
     /// Allocate little-endian `u64` words in the data segment.
     pub fn data_words(&mut self, words: &[u64]) -> Addr {
-        let mut bytes = Vec::with_capacity(words.len() * 8);
-        for w in words {
-            bytes.extend_from_slice(&w.to_le_bytes());
-        }
-        self.data_bytes(&bytes)
+        self.data_bytes(word_image(words, words.len()))
     }
 
     /// Reserve `len` zeroed bytes in the data segment; returns the address.
@@ -469,7 +467,7 @@ mod tests {
     #[test]
     fn data_allocation_is_aligned_and_disjoint() {
         let mut a = Asm::new();
-        let d1 = a.data_bytes(&[1, 2, 3]);
+        let d1 = a.data_bytes(vec![1, 2, 3]);
         let d2 = a.data_words(&[42]);
         let d3 = a.zero_data(5);
         let d4 = a.zero_data(8);

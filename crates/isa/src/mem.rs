@@ -242,20 +242,36 @@ impl Memory {
             }
             return buf;
         }
-        for (i, b) in buf.iter_mut().enumerate() {
-            *b = self.read_u8(addr.wrapping_add(i as u64));
-        }
+        self.read_into(addr, &mut buf);
         buf
     }
 
+    /// Fill `buf` from `addr` on, one page-sized copy per page, wrapping
+    /// at `u64::MAX`; unmapped pages read as zeros.
+    fn read_into(&self, addr: Addr, buf: &mut [u8]) {
+        for (at, start, n) in page_pieces(addr, buf.len()) {
+            let off = (at % PAGE_SIZE as u64) as usize;
+            let dst = &mut buf[start..start + n];
+            match self.page(at / PAGE_SIZE as u64) {
+                Some(p) => dst.copy_from_slice(&p[off..off + n]),
+                None => dst.fill(0),
+            }
+        }
+    }
+
+    /// Copy `bytes` to `addr` on, one `page_mut` and one page-sized copy
+    /// per page, wrapping at `u64::MAX`. Pages are mapped (and, under
+    /// snapshot tracking, logged dirty) in address order, as byte-by-byte
+    /// writes would; an empty write still maps the page at `addr`.
     fn write_le(&mut self, addr: Addr, bytes: &[u8]) {
         let off = (addr % PAGE_SIZE as u64) as usize;
         if off + bytes.len() <= PAGE_SIZE {
             self.page_mut(addr)[off..off + bytes.len()].copy_from_slice(bytes);
             return;
         }
-        for (i, b) in bytes.iter().enumerate() {
-            self.write_u8(addr.wrapping_add(i as u64), *b);
+        for (at, start, n) in page_pieces(addr, bytes.len()) {
+            let off = (at % PAGE_SIZE as u64) as usize;
+            self.page_mut(at)[off..off + n].copy_from_slice(&bytes[start..start + n]);
         }
     }
 
@@ -286,24 +302,59 @@ impl Memory {
         self.write_le(addr, image);
     }
 
-    /// Read `len` bytes into a fresh vector.
+    /// Read `len` bytes into a fresh vector (wrapping at `u64::MAX`).
     #[must_use]
     pub fn read_bytes(&self, addr: Addr, len: usize) -> Vec<u8> {
-        (0..len).map(|i| self.read_u8(addr + i as u64)).collect()
+        let mut out = vec![0; len];
+        self.read_into(addr, &mut out);
+        out
     }
 
-    /// Read `count` little-endian `u64` words starting at `addr`.
+    /// Read `count` little-endian `u64` words starting at `addr`
+    /// (wrapping at `u64::MAX`).
     #[must_use]
     pub fn read_words(&self, addr: Addr, count: usize) -> Vec<u64> {
-        (0..count).map(|i| self.read_u64(addr + 8 * i as u64)).collect()
+        self.read_bytes(addr, 8 * count)
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk")))
+            .collect()
     }
 
-    /// Write a slice of `u64` words starting at `addr`.
+    /// Write a slice of `u64` words starting at `addr` (wrapping at
+    /// `u64::MAX`).
     pub fn write_words(&mut self, addr: Addr, words: &[u64]) {
-        for (i, w) in words.iter().enumerate() {
-            self.write_u64(addr + 8 * i as u64, *w);
+        // An empty slice writes, and so maps, nothing.
+        if !words.is_empty() {
+            self.write_le(addr, &word_image(words, words.len()));
         }
     }
+}
+
+/// The little-endian byte image of `len` words: `words` first (cut at
+/// `len`), zeros after. One buffer, sized once.
+#[must_use]
+pub fn word_image(words: &[u64], len: usize) -> Vec<u8> {
+    let mut image = vec![0; 8 * len];
+    for (dst, w) in image.chunks_exact_mut(8).zip(words) {
+        dst.copy_from_slice(&w.to_le_bytes());
+    }
+    image
+}
+
+/// Split `len` bytes from `addr` on into per-page pieces `(address,
+/// offset into the buffer, length)`, in address order, wrapping at
+/// `u64::MAX` (the address space is a whole number of pages, so a wrap
+/// never splits a page).
+fn page_pieces(addr: Addr, len: usize) -> impl Iterator<Item = (Addr, usize, usize)> {
+    let mut done = 0;
+    std::iter::from_fn(move || {
+        (done < len).then(|| {
+            let at = addr.wrapping_add(done as u64);
+            let n = (PAGE_SIZE - (at % PAGE_SIZE as u64) as usize).min(len - done);
+            done += n;
+            (at, done - n, n)
+        })
+    })
 }
 
 #[cfg(test)]
@@ -413,6 +464,110 @@ mod tests {
             m.restore(&snap);
             assert_eq!(m.read_words(0x3000, 4), vec![1, 2, 3, 4]);
         }
+    }
+
+    /// Per-byte reference for `write_le`/`load_image`: one `write_u8`
+    /// per byte, in address order, wrapping at `u64::MAX`. An empty write
+    /// maps the page at `addr` and nothing else.
+    fn write_bytewise(m: &mut Memory, addr: Addr, bytes: &[u8]) {
+        if bytes.is_empty() {
+            m.page_mut(addr);
+        }
+        for (i, b) in bytes.iter().enumerate() {
+            m.write_u8(addr.wrapping_add(i as u64), *b);
+        }
+    }
+
+    /// Same pages (bytes, numbering and allocation order) and the same
+    /// dirty-tracking state.
+    fn assert_same(got: &Memory, want: &Memory, what: &str) {
+        assert_eq!(got.page_count(), want.page_count(), "{what}: page_count");
+        assert_eq!(got.index, want.index, "{what}: page numbering");
+        assert!(got.pages == want.pages, "{what}: page bytes");
+        assert_eq!(got.dirty, want.dirty, "{what}: dirty-page order");
+        assert_eq!(got.page_epoch, want.page_epoch, "{what}: dirty epochs");
+    }
+
+    /// A random `(addr, bytes)` write: unaligned starts in a low, a mid
+    /// and a top-of-address-space region (the last wraps past
+    /// `u64::MAX`), lengths from a few bytes to five pages.
+    fn random_write(rng: &mut u64) -> (Addr, Vec<u8>) {
+        let mut next = || {
+            *rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = *rng;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let page = PAGE_SIZE as u64;
+        let addr = match next() % 3 {
+            0 => next() % (8 * page),
+            1 => 0x10_0000 + next() % (8 * page),
+            _ => u64::MAX - next() % (3 * page),
+        };
+        let len = match next() % 4 {
+            0 => next() % 16,
+            1 => page - 8 + next() % 16,
+            _ => next() % (5 * page),
+        } as usize;
+        let bytes = (0..len).map(|_| next() as u8).collect();
+        (addr, bytes)
+    }
+
+    #[test]
+    fn bulk_writes_match_the_bytewise_reference() {
+        let mut rng = 0x5EED;
+        for round in 0..40 {
+            let mut bulk = Memory::new();
+            let mut reference = Memory::new();
+            for _ in 0..6 {
+                let (addr, bytes) = random_write(&mut rng);
+                bulk.load_image(addr, &bytes);
+                write_bytewise(&mut reference, addr, &bytes);
+                assert_same(&bulk, &reference, &format!("round {round}, fresh"));
+            }
+            let bulk_snap = bulk.snapshot();
+            let ref_snap = reference.snapshot();
+            for _ in 0..6 {
+                let (addr, bytes) = random_write(&mut rng);
+                bulk.load_image(addr, &bytes);
+                write_bytewise(&mut reference, addr, &bytes);
+                assert_same(&bulk, &reference, &format!("round {round}, tracked"));
+            }
+            bulk.restore(&bulk_snap);
+            reference.restore(&ref_snap);
+            assert_same(&bulk, &reference, &format!("round {round}, restored"));
+            let (addr, bytes) = random_write(&mut rng);
+            bulk.load_image(addr, &bytes);
+            write_bytewise(&mut reference, addr, &bytes);
+            assert_same(&bulk, &reference, &format!("round {round}, after restore"));
+        }
+    }
+
+    #[test]
+    fn word_writes_wrap_at_the_top_of_the_address_space() {
+        for addr in [u64::MAX - 3, PAGE_SIZE as u64 - 5] {
+            let mut bulk = Memory::new();
+            let mut reference = Memory::new();
+            bulk.write_u64(addr, 0x0102_0304_0506_0708);
+            write_bytewise(&mut reference, addr, &0x0102_0304_0506_0708u64.to_le_bytes());
+            assert_same(&bulk, &reference, &format!("write_u64 at {addr:#x}"));
+            assert_eq!(bulk.read_u64(addr), 0x0102_0304_0506_0708);
+        }
+    }
+
+    #[test]
+    fn byte_and_word_helpers_wrap_at_the_top_of_the_address_space() {
+        let mut m = Memory::new();
+        let addr = u64::MAX - 3;
+        m.write_words(addr, &[0x1122_3344_5566_7788, 0x99AA_BBCC_DDEE_FF00]);
+        assert_eq!(m.read_words(addr, 2), vec![0x1122_3344_5566_7788, 0x99AA_BBCC_DDEE_FF00]);
+        assert_eq!(m.read_u64(addr), 0x1122_3344_5566_7788);
+        assert_eq!(m.read_bytes(addr, 5), vec![0x88, 0x77, 0x66, 0x55, 0x44]);
+        // The fifth byte wrapped to address 0, the second word sits at 4.
+        assert_eq!(m.read_u8(0), 0x44);
+        assert_eq!(m.read_u64(4), 0x99AA_BBCC_DDEE_FF00);
+        assert_eq!(m.page_count(), 2);
     }
 
     #[test]

@@ -171,6 +171,9 @@ struct RJob {
 /// [`COMPUTE_OPS`] order.
 struct Metrics {
     req: [Arc<Counter>; COMPUTE_OPS.len()],
+    /// `router_requests_total` of the inline ops, each resolved on its
+    /// first request (so none is listed before it counts).
+    inline_req: Vec<(&'static str, Arc<Counter>)>,
     lat: [Arc<Histogram>; COMPUTE_OPS.len()],
     shard_latency: Vec<Arc<Histogram>>,
     retries: Arc<Counter>,
@@ -188,6 +191,7 @@ impl Metrics {
         Metrics {
             req: COMPUTE_OPS
                 .map(|op| registry.counter(&format!("router_requests_total{{op=\"{op}\"}}"))),
+            inline_req: Vec::new(),
             lat: COMPUTE_OPS
                 .map(|op| registry.histogram(&format!("router_request_latency_us{{op=\"{op}\"}}"))),
             shard_latency: (0..shards)
@@ -202,6 +206,23 @@ impl Metrics {
             shards_healthy: registry.gauge("router_shards_healthy"),
             phase_write: registry.histogram("phase_latency_us{phase=\"write\"}"),
         }
+    }
+
+    /// `router_requests_total{op}`, without a name lookup after an op's
+    /// first request.
+    fn requests(&mut self, registry: &Registry, op: &'static str) -> &Counter {
+        if let Some(slot) = op_slot(op) {
+            return &self.req[slot];
+        }
+        let at = match self.inline_req.iter().position(|(o, _)| *o == op) {
+            Some(at) => at,
+            None => {
+                let counter = registry.counter(&format!("router_requests_total{{op=\"{op}\"}}"));
+                self.inline_req.push((op, counter));
+                self.inline_req.len() - 1
+            }
+        };
+        &self.inline_req[at].1
     }
 }
 
@@ -537,10 +558,7 @@ impl RouterLoop {
         }
         let Some(u) = self.ups.get_mut(&token) else { return };
         let Some((request, id, _)) = u.admit(&self.shared.injector, trimmed, now) else { return };
-        self.shared
-            .registry
-            .counter(&format!("router_requests_total{{op=\"{}\"}}", request.op_name()))
-            .inc();
+        self.metrics.requests(&self.shared.registry, request.op_name()).inc();
         let body = match request {
             Request::Hello { proto } => {
                 let Some(u) = self.ups.get_mut(&token) else { return };
@@ -1346,4 +1364,27 @@ fn busy_line(message: &str, retry_after_ms: u64) -> String {
         .with("error", message)
         .with("retry_after_ms", retry_after_ms)
         .encode()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn request_counters_keep_their_names_and_list_inline_ops_once_counted() {
+        let registry = Registry::new();
+        let mut metrics = Metrics::new(&registry, 1);
+        let counter = |name: &str| {
+            let snap = registry.snapshot();
+            snap.get("counters").and_then(|c| c.get(name)).and_then(Json::as_u64)
+        };
+        assert_eq!(counter("router_requests_total{op=\"batch\"}"), Some(0));
+        assert_eq!(counter("router_requests_total{op=\"stats\"}"), None);
+        metrics.requests(&registry, "batch").inc();
+        metrics.requests(&registry, "stats").inc();
+        metrics.requests(&registry, "stats").inc();
+        assert_eq!(counter("router_requests_total{op=\"batch\"}"), Some(1));
+        assert_eq!(counter("router_requests_total{op=\"stats\"}"), Some(2));
+        assert_eq!(counter("router_requests_total{op=\"health\"}"), None);
+    }
 }
