@@ -15,14 +15,20 @@
 //!   (on well-formed, privatized programs). The per-path instruction
 //!   counts it gathers define the paper's *ideal overhead* (§IV-A: the
 //!   minimum secure execution is all instructions of all paths).
+//!
+//! Both personalities execute through the shared kernel
+//! [`crate::semantics::step`]; the interpreter itself handles only `HALT`,
+//! the SeMPE-mode sJMP and eosJMP, and the [`RunSummary`] counting. Its kernel
+//! observer marks each register a secure path writes, which is what the
+//! eosJMP merge restores.
 
 use crate::decode::DecodeMode;
 use crate::error::ExecError;
 use crate::mem::Memory;
-use crate::opcode::{Format, Opcode};
+use crate::opcode::Opcode;
 use crate::program::{layout, DecodedProgram, Program};
 use crate::reg::{Reg, NUM_ARCH_REGS};
-use crate::semantics::{access_width, branch_taken, eval_op, IntFault};
+use crate::semantics::{self, branch_taken, Observer};
 use crate::Addr;
 
 /// Which semantics the interpreter applies to secure instructions.
@@ -74,6 +80,28 @@ struct SecFrame {
     nt_modified: u64,
     /// Same, for the taken path.
     t_modified: u64,
+}
+
+/// The kernel observer of a SeMPE-functional run: a register write marks
+/// the register modified in the *current path* of every active secure
+/// region. Outer levels must see modifications made by inner regions so
+/// their merge restores correctly (conservative marking is always safe:
+/// re-restoring an unchanged value is a no-op).
+impl Observer for Vec<SecFrame> {
+    fn on_write(&mut self, rd: Reg) {
+        mark_modified(self, 1 << rd.index());
+    }
+}
+
+/// Mark the registers in `mask` modified in the current path of `frames`.
+fn mark_modified(frames: &mut [SecFrame], mask: u64) {
+    for frame in frames {
+        if frame.jumped_back {
+            frame.t_modified |= mask;
+        } else {
+            frame.nt_modified |= mask;
+        }
+    }
 }
 
 /// A SIR interpreter.
@@ -200,25 +228,6 @@ impl Interp {
         self.halted
     }
 
-    fn write_reg(&mut self, r: Reg, val: u64) {
-        if r.is_zero() {
-            return;
-        }
-        self.regs[r.index()] = val;
-        // Mark the register modified in the *current path* of every active
-        // secure region; outer levels must see modifications made by inner
-        // regions so their merge restores correctly (conservative marking
-        // is always safe: re-restoring an unchanged value is a no-op).
-        let bit = 1u64 << r.index();
-        for frame in &mut self.frames {
-            if frame.jumped_back {
-                frame.t_modified |= bit;
-            } else {
-                frame.nt_modified |= bit;
-            }
-        }
-    }
-
     /// Execute one instruction.
     ///
     /// Returns `true` while the program can continue, `false` once halted.
@@ -232,91 +241,46 @@ impl Interp {
         }
         let pc = self.pc;
         let (inst, len) = self.prog.fetch(pc)?;
-        let mut next_pc = pc + len as Addr;
+        let fall_through = pc + len as Addr;
 
-        match inst.op {
+        self.pc = match inst.op {
             Opcode::Halt => {
                 self.halted = true;
                 self.stats.halted = true;
+                fall_through
             }
-            Opcode::Nop => {}
             Opcode::EosJmp => {
                 self.stats.eosjmp_count += 1;
-                next_pc = self.exec_eosjmp(pc, next_pc)?;
+                self.exec_eosjmp(pc, fall_through)?
             }
-            Opcode::Jal => {
-                self.write_reg(inst.rd, next_pc);
-                next_pc = inst.branch_target(pc, len);
-            }
-            Opcode::Jalr => {
-                let base = self.reg(inst.rs1);
-                self.write_reg(inst.rd, next_pc);
-                next_pc = base.wrapping_add(inst.imm as u64);
-            }
-            op if op.is_cond_branch() => {
-                let a = self.reg(inst.rs1);
-                let b = self.reg(inst.rs2);
-                let taken = branch_taken(op, a, b);
-                if inst.is_sjmp() && self.mode == InterpMode::SempeFunctional {
-                    self.stats.sjmp_count += 1;
-                    if self.frames.len() >= self.max_nesting {
-                        return Err(ExecError::SecureRegionFault {
-                            pc,
-                            reason: format!(
-                                "secure nesting depth {} exceeds the supported {}",
-                                self.frames.len() + 1,
-                                self.max_nesting
-                            ),
-                        });
-                    }
-                    self.frames.push(SecFrame {
-                        target: inst.branch_target(pc, len),
-                        taken,
-                        jumped_back: false,
-                        initial: self.regs,
-                        nt_values: [0; NUM_ARCH_REGS],
-                        nt_modified: 0,
-                        t_modified: 0,
+            _ if inst.is_sjmp() && self.mode == InterpMode::SempeFunctional => {
+                self.stats.sjmp_count += 1;
+                if self.frames.len() >= self.max_nesting {
+                    return Err(ExecError::SecureRegionFault {
+                        pc,
+                        reason: format!(
+                            "secure nesting depth {} exceeds the supported {}",
+                            self.frames.len() + 1,
+                            self.max_nesting
+                        ),
                     });
-                    self.stats.max_nesting = self.stats.max_nesting.max(self.frames.len());
-                    // Fall through: the not-taken path always runs first.
-                } else if taken {
-                    next_pc = inst.branch_target(pc, len);
                 }
+                self.frames.push(SecFrame {
+                    target: inst.branch_target(pc, len),
+                    taken: branch_taken(inst.op, self.reg(inst.rs1), self.reg(inst.rs2)),
+                    jumped_back: false,
+                    initial: self.regs,
+                    nt_values: [0; NUM_ARCH_REGS],
+                    nt_modified: 0,
+                    t_modified: 0,
+                });
+                self.stats.max_nesting = self.stats.max_nesting.max(self.frames.len());
+                // Fall through: the not-taken path always runs first.
+                fall_through
             }
-            op if op.is_load() => {
-                let addr = self.reg(inst.rs1).wrapping_add(inst.imm as u64);
-                let val = match access_width(op) {
-                    1 => u64::from(self.mem.read_u8(addr)),
-                    4 => u64::from(self.mem.read_u32(addr)),
-                    _ => self.mem.read_u64(addr),
-                };
-                self.write_reg(inst.rd, val);
-            }
-            op if op.is_store() => {
-                let addr = self.reg(inst.rs1).wrapping_add(inst.imm as u64);
-                let val = self.reg(inst.rs2);
-                match access_width(op) {
-                    1 => self.mem.write_u8(addr, val as u8),
-                    4 => self.mem.write_u32(addr, val as u32),
-                    _ => self.mem.write_u64(addr, val),
-                }
-            }
-            _ => {
-                // Computational instruction.
-                let a = self.reg(inst.rs1);
-                let b = match inst.op.format() {
-                    Format::R3 => self.reg(inst.rs2),
-                    _ => inst.imm as u64,
-                };
-                let old = self.reg(inst.rd);
-                let val = eval_op(&inst, a, b, old)
-                    .map_err(|IntFault::DivideByZero| ExecError::DivideByZero { pc })?;
-                self.write_reg(inst.rd, val);
-            }
-        }
+            _ => semantics::step(inst, len, pc, &mut self.regs, &mut self.mem, &mut self.frames)?,
+        };
 
-        self.pc = next_pc;
         self.stats.committed += 1;
         if !self.frames.is_empty() {
             self.stats.secure_insts += 1;
@@ -352,40 +316,22 @@ impl Interp {
             // way (constant-time), but the values only land when the
             // not-taken path was the correct one.
             let frame = self.frames.pop().expect("frame checked above");
+            let merged = frame.nt_modified | frame.t_modified;
             if !frame.taken {
-                let merged = frame.nt_modified | frame.t_modified;
-                let mut updates = Vec::new();
+                #[allow(clippy::needless_range_loop)] // parallel mask/array walk
                 for i in 0..NUM_ARCH_REGS {
-                    if merged & (1 << i) == 0 {
-                        continue;
-                    }
-                    let val = if frame.nt_modified & (1 << i) != 0 {
-                        frame.nt_values[i]
-                    } else {
-                        frame.initial[i]
-                    };
-                    updates.push((i, val));
-                }
-                for (i, val) in updates {
-                    // Route through write_reg so enclosing frames see the
-                    // modification.
-                    if let Some(r) = Reg::from_index(i as u8) {
-                        self.write_reg(r, val);
-                    }
-                }
-            } else {
-                // Taken path was correct: current register values stand,
-                // but enclosing frames must still observe the region's net
-                // modifications.
-                let merged = frame.nt_modified | frame.t_modified;
-                for outer in &mut self.frames {
-                    if outer.jumped_back {
-                        outer.t_modified |= merged;
-                    } else {
-                        outer.nt_modified |= merged;
+                    if merged & (1 << i) != 0 {
+                        self.regs[i] = if frame.nt_modified & (1 << i) != 0 {
+                            frame.nt_values[i]
+                        } else {
+                            frame.initial[i]
+                        };
                     }
                 }
             }
+            // Either way the current register values now stand, and
+            // enclosing frames must observe the region's net modifications.
+            mark_modified(&mut self.frames, merged);
             Ok(fall_through)
         }
     }

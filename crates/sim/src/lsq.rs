@@ -34,6 +34,42 @@ pub enum LoadCheck {
     Wait,
 }
 
+/// How an older store's bytes relate to a load's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Overlap {
+    /// No byte in common: the store does not affect the load.
+    Disjoint,
+    /// Same base and the store is at least as wide: it supplies the
+    /// load's value.
+    Forward,
+    /// Any other overlap: the load must wait for the store to commit.
+    Partial,
+}
+
+/// The store-to-load forwarding rule, shared by [`Lsq::check_load`] and
+/// the fast-forward tier's store window. Each access covers
+/// `[addr, addr + width)` modulo 2^64, so one that straddles the top of
+/// the address space also covers the bytes it wraps onto, as
+/// [`sempe_isa::mem::Memory`] does.
+#[must_use]
+pub(crate) fn overlap(
+    store_addr: Addr,
+    store_width: u8,
+    load_addr: Addr,
+    load_width: u8,
+) -> Overlap {
+    let starts_in = |base: Addr, width: u8, at: Addr| at.wrapping_sub(base) < u64::from(width);
+    if !starts_in(store_addr, store_width, load_addr)
+        && !starts_in(load_addr, load_width, store_addr)
+    {
+        Overlap::Disjoint
+    } else if store_addr == load_addr && store_width >= load_width {
+        Overlap::Forward
+    } else {
+        Overlap::Partial
+    }
+}
+
 /// The store queue plus a load-slot counter.
 ///
 /// `stores` is kept in program (seq) order by construction: entries are
@@ -176,33 +212,24 @@ impl Lsq {
 
     /// Scan for a load at `seq` reading `[addr, addr+width)`.
     pub fn check_load(&mut self, seq: u64, addr: Addr, width: u8) -> LoadCheck {
-        let lo = addr;
-        let hi = addr + u64::from(width);
         // `stores` is seq-sorted, so the stores older than this load are
         // a prefix; walk it backwards (youngest-first, nearest writer
         // wins), skipping the younger suffix.
         for s in self.stores.iter().rev().skip_while(|s| s.seq >= seq) {
-            match s.addr {
-                None => return LoadCheck::Wait,
-                Some(sa) => {
-                    let slo = sa;
-                    let shi = sa + u64::from(s.width);
-                    let overlap = lo < shi && slo < hi;
-                    if !overlap {
-                        continue;
-                    }
-                    if sa == addr && s.width >= width {
-                        self.forwards += 1;
-                        let val = match width {
-                            1 => s.data & 0xFF,
-                            4 => s.data & 0xFFFF_FFFF,
-                            _ => s.data,
-                        };
-                        return LoadCheck::Forward(val);
-                    }
-                    // Partial overlap: wait for the store to commit.
-                    return LoadCheck::Wait;
+            let Some(sa) = s.addr else { return LoadCheck::Wait };
+            match overlap(sa, s.width, addr, width) {
+                Overlap::Disjoint => {}
+                Overlap::Forward => {
+                    self.forwards += 1;
+                    let val = match width {
+                        1 => s.data & 0xFF,
+                        4 => s.data & 0xFFFF_FFFF,
+                        _ => s.data,
+                    };
+                    return LoadCheck::Forward(val);
                 }
+                // Partial overlap: wait for the store to commit.
+                Overlap::Partial => return LoadCheck::Wait,
             }
         }
         LoadCheck::Proceed
@@ -262,6 +289,24 @@ mod tests {
         assert_eq!(lsq.check_load(11, 0x100, 8), LoadCheck::Wait);
         // Disjoint: fine.
         assert_eq!(lsq.check_load(11, 0x110, 8), LoadCheck::Proceed);
+    }
+
+    #[test]
+    fn overlap_wraps_at_the_top_of_memory() {
+        let top = u64::MAX - 3;
+        assert_eq!(overlap(u64::MAX - 7, 8, u64::MAX - 7, 8), Overlap::Forward);
+        assert_eq!(overlap(top, 8, top, 8), Overlap::Forward);
+        assert_eq!(overlap(top, 8, 0, 4), Overlap::Partial, "the wrapped-onto bytes");
+        assert_eq!(overlap(0, 4, top, 8), Overlap::Partial);
+        assert_eq!(overlap(top, 8, 4, 4), Overlap::Disjoint, "just past the wrap");
+        assert_eq!(overlap(top, 4, 0, 8), Overlap::Disjoint, "ends exactly at the top");
+        assert_eq!(overlap(0x100, 8, 0x108, 1), Overlap::Disjoint);
+        assert_eq!(overlap(0x100, 8, 0x107, 1), Overlap::Partial);
+        let mut lsq = Lsq::new(4, 4);
+        let id = lsq.alloc_store(10);
+        lsq.resolve_store(id, top, 42, 8);
+        assert_eq!(lsq.check_load(11, top, 8), LoadCheck::Forward(42));
+        assert_eq!(lsq.check_load(11, 0, 4), LoadCheck::Wait);
     }
 
     #[test]

@@ -31,7 +31,7 @@ use sempe_isa::mem::{MemSnapshot, Memory};
 use sempe_isa::opcode::{Format, Opcode};
 use sempe_isa::program::{layout, DecodedProgram, Program};
 use sempe_isa::reg::{Reg, NUM_ARCH_REGS};
-use sempe_isa::semantics::{access_width, branch_taken, eval_op, IntFault};
+use sempe_isa::semantics::{self, access_width, branch_taken, eval_op, IntFault};
 use sempe_isa::{Addr, DecodeError, ExecError};
 
 use crate::bpred::{BranchPredictor, RasSnapshot};
@@ -49,6 +49,10 @@ use crate::stats::{SimResult, SimStats};
 /// deadline overshoot is bounded well below any protocol-visible
 /// latency budget while keeping `Instant::now` off the hot path.
 pub const DEADLINE_QUANTUM: u32 = 4096;
+
+/// Instruction-cache line size of the fetch stage's line-transition
+/// dedupe (one IL1 access per line), shared with the fast-forward tier.
+pub(crate) const FETCH_LINE_BYTES: u64 = 64;
 
 /// Errors a simulation can raise.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -293,8 +297,8 @@ pub struct HostProfile {
     /// deliberately not added to [`HostProfile::total_ns`].
     pub ff_ns: u64,
     /// Nanoseconds of `ff_ns` spent warming timed structures (caches,
-    /// predictors, prefetchers). A sampled estimate — see
-    /// [`crate::tier::FullWarmup`].
+    /// predictors, prefetchers). A sampled estimate: one warm call in
+    /// every `FullWarmup::SAMPLE` (`crate::tier`) is timed and scaled up.
     pub warm_ns: u64,
 }
 
@@ -1094,21 +1098,19 @@ impl Simulator {
         // this bound only fires where classic stepping would also have
         // run out of its cycle budget.
         let budget = max_cycles.saturating_mul(self.config.core.retire_width as u64);
-        let mut warm = FullWarmup::default();
         let mut ff = FastForward {
             prog: &self.prog,
             mem: &mut self.mem,
             regs: &mut self.arch_regs,
-            hier: &mut self.hier,
-            bp: &mut self.bp,
             last_fetch_line: &mut self.last_fetch_line,
+            warm: FullWarmup::new(&mut self.hier, &mut self.bp, self.config.core.sq_entries),
             pc: self.fetch_pc,
             committed: self.stats.committed,
             executed: 0,
         };
-        let stop =
-            ff.run(&mut warm, self.config.roi, self.config.core.sq_entries, budget, deadline);
-        let (pc, committed, executed) = (ff.pc, ff.committed, ff.executed);
+        let stop = ff.run(self.config.roi, budget, deadline);
+        let (pc, committed, executed, warm_ns) =
+            (ff.pc, ff.committed, ff.executed, ff.warm.warm_ns());
         self.fetch_pc = pc;
         self.stats.committed = committed;
         self.stats.ff_committed += executed;
@@ -1119,7 +1121,7 @@ impl Simulator {
         }
         self.host.ff_instructions += executed;
         self.host.ff_ns += elapsed_ns(ff_start);
-        self.host.warm_ns += warm.warm_ns();
+        self.host.warm_ns += warm_ns;
         match stop {
             FfStop::Boundary => {
                 // Resynchronize the physical file with the fast-forwarded
@@ -1273,7 +1275,7 @@ impl Simulator {
                 break;
             };
             // Instruction-cache timing, one access per line transition.
-            let line = self.fetch_pc / 64;
+            let line = self.fetch_pc / FETCH_LINE_BYTES;
             if self.last_fetch_line != Some(line) {
                 let r = self.hier.fetch_access(self.fetch_pc);
                 self.trace_cache(CacheLevel::Il1, r);
@@ -1710,7 +1712,7 @@ impl Simulator {
             }
             op if op.is_store() => {
                 let addr = v1.wrapping_add(inst.imm as u64);
-                let width = access_width(op) as u8;
+                let width = access_width(op);
                 if let Some(e) = self.rob.get_checked(slot, seq) {
                     e.mem_addr = addr;
                 }
@@ -1814,7 +1816,7 @@ impl Simulator {
         phys_dest: Option<PhysReg>,
         agu: u64,
     ) {
-        let width = access_width(inst.op) as u8;
+        let width = access_width(inst.op);
         match self.lsq.check_load(seq, addr, width) {
             LoadCheck::Wait => {
                 self.stats.load_replays += 1;
@@ -1832,11 +1834,7 @@ impl Simulator {
                 });
             }
             LoadCheck::Proceed => {
-                let value = match width {
-                    1 => u64::from(self.mem.read_u8(addr)),
-                    4 => u64::from(self.mem.read_u32(addr)),
-                    _ => self.mem.read_u64(addr),
-                };
+                let value = semantics::load(&self.mem, width, addr);
                 let r = self.hier.data_access(pc, addr, false);
                 self.trace_cache(CacheLevel::Dl1, r);
                 self.schedule(Completion {
@@ -2093,11 +2091,7 @@ impl Simulator {
             if let Some(id) = entry.store_id {
                 let s = self.lsq.commit_store(id).expect("store present at commit");
                 let addr = s.addr.expect("resolved before done");
-                match s.width {
-                    1 => self.mem.write_u8(addr, s.data as u8),
-                    4 => self.mem.write_u32(addr, s.data as u32),
-                    _ => self.mem.write_u64(addr, s.data),
-                }
+                semantics::store(&mut self.mem, s.width, addr, s.data);
                 let r = self.hier.data_access(entry.pc, addr, true);
                 self.trace_cache(CacheLevel::Dl1, r);
                 self.trace_event(TraceEvent::MemWrite { addr });

@@ -3,10 +3,10 @@
 //!
 //! Under [`crate::config::Stepping::Tiered`] the simulator executes
 //! instructions outside the region of interest *functionally* — straight
-//! through the shared ISA semantic kernel
-//! ([`sempe_isa::semantics::eval_op`] / [`branch_taken`]), no pipeline,
-//! no cycles — while *warming* every timed structure along the committed
-//! path: instruction- and data-cache fills, prefetcher training, and
+//! through the ISA's instruction-semantics kernel
+//! ([`sempe_isa::semantics::step`]), no pipeline, no cycles — while
+//! *warming* every timed structure along the committed path:
+//! instruction- and data-cache fills, prefetcher training, and
 //! TAGE/ITTAGE/RAS updates. At an ROI boundary the machine is already
 //! architecturally quiesced (fast-forward has no in-flight state), so
 //! the detailed pipeline takes over in place and simulates only the
@@ -14,8 +14,8 @@
 //!
 //! ## The warmup model
 //!
-//! Warming is factored behind the [`Warmup`] trait so each structure's
-//! model is auditable and testable in isolation:
+//! The fast-forward loop warms the instruction cache itself; everything
+//! else is warmed by `FullWarmup`, the kernel's observer:
 //!
 //! * **Instruction cache** — one [`MemHierarchy::fetch_access`] per
 //!   committed-path line transition, exactly the dedupe rule the fetch
@@ -56,165 +56,134 @@
 
 use std::time::Instant;
 
-use sempe_isa::insn::Inst;
 use sempe_isa::mem::Memory;
-use sempe_isa::opcode::{Format, Opcode};
+use sempe_isa::opcode::Opcode;
 use sempe_isa::program::DecodedProgram;
-use sempe_isa::reg::{Reg, NUM_ARCH_REGS};
-use sempe_isa::semantics::{access_width, branch_taken, eval_op, IntFault};
+use sempe_isa::reg::NUM_ARCH_REGS;
+use sempe_isa::semantics::{self, Observer};
 use sempe_isa::{Addr, ExecError};
 
 use crate::bpred::BranchPredictor;
 use crate::cache::MemHierarchy;
 use crate::config::Roi;
-use crate::pipeline::DEADLINE_QUANTUM;
+use crate::lsq::{overlap, Overlap};
+use crate::pipeline::{DEADLINE_QUANTUM, FETCH_LINE_BYTES};
 
-/// Cache-line size used by the fetch stage's line-transition dedupe.
-/// Must match `Simulator::fetch_stage`.
-const LINE_BYTES: u64 = 64;
-
-/// How a timed structure is warmed while fast-forwarding. One method per
-/// pipeline touch point; the fast-forward core decides *when* each fires
-/// (committed-path semantics), the implementation decides *what* state
-/// it warms. [`FullWarmup`] is the production model; tests implement the
-/// trait per structure to audit each model in isolation, and
-/// [`NoWarmup`] gives the cold-handoff ablation.
-pub trait Warmup {
-    /// The committed path crossed into the instruction-cache line
-    /// holding `pc`.
-    fn on_fetch_line(&mut self, hier: &mut MemHierarchy, pc: Addr);
-    /// A load at `pc` read `addr`; `forwarded` is true when the
-    /// store-forward window covered it (the pipeline's store-queue
-    /// forwarding skips the DL1 for such loads).
-    fn on_load(&mut self, hier: &mut MemHierarchy, pc: Addr, addr: Addr, forwarded: bool);
-    /// A store at `pc` committed to `addr`.
-    fn on_store(&mut self, hier: &mut MemHierarchy, pc: Addr, addr: Addr);
-    /// A conditional branch at `pc` resolved `taken`.
-    fn on_cond_branch(&mut self, bp: &mut BranchPredictor, pc: Addr, taken: bool);
-    /// A call committed; `return_addr` is its fall-through.
-    fn on_call(&mut self, bp: &mut BranchPredictor, return_addr: Addr);
-    /// A return committed with actual target `target`.
-    fn on_return(&mut self, bp: &mut BranchPredictor, target: Addr);
-    /// A non-return indirect jump at `pc` committed; `fallthrough` is
-    /// the static fall-through used when the predictor has no target.
-    fn on_indirect(&mut self, bp: &mut BranchPredictor, pc: Addr, fallthrough: Addr, target: Addr);
-}
-
-/// The production warmup model: warm everything, replaying the exact
-/// call sequence the detailed pipeline issues along the committed path.
+/// The fast-forward tier's kernel observer: warms the data cache,
+/// prefetchers and branch predictors along the committed path, replaying
+/// the exact call sequence the detailed pipeline issues.
 ///
 /// Host-time attribution: timing every warm call would dominate the
 /// fast-forward loop, so `warm_ns` is a sampled estimate — every
 /// [`FullWarmup::SAMPLE`]-th call is timed and scaled by the sampling
 /// factor. Deterministic, cheap, and honest enough for a host-side
 /// ledger (it never feeds simulated state).
-#[derive(Debug, Default)]
-pub struct FullWarmup {
+#[derive(Debug)]
+pub(crate) struct FullWarmup<'a> {
+    hier: &'a mut MemHierarchy,
+    bp: &'a mut BranchPredictor,
+    stores: StoreWindow,
     calls: u64,
     warm_ns: u64,
 }
 
-impl FullWarmup {
+impl<'a> FullWarmup<'a> {
     /// Sampling factor for the `warm_ns` estimate.
-    pub const SAMPLE: u64 = 64;
+    const SAMPLE: u64 = 64;
+
+    /// Warm `hier` and `bp`; `store_window` is the store-queue capacity
+    /// (the forwarding window).
+    pub(crate) fn new(
+        hier: &'a mut MemHierarchy,
+        bp: &'a mut BranchPredictor,
+        store_window: usize,
+    ) -> Self {
+        FullWarmup { hier, bp, stores: StoreWindow::new(store_window), calls: 0, warm_ns: 0 }
+    }
 
     /// Sampled estimate of host nanoseconds spent warming structures.
-    #[must_use]
-    pub fn warm_ns(&self) -> u64 {
+    pub(crate) fn warm_ns(&self) -> u64 {
         self.warm_ns
     }
 
-    fn sampled<R>(&mut self, f: impl FnOnce() -> R) -> R {
-        self.calls += 1;
-        if self.calls.is_multiple_of(Self::SAMPLE) {
-            let t = Instant::now();
-            let r = f();
-            self.warm_ns += Self::SAMPLE
-                * u64::try_from(t.elapsed().as_nanos().min(u128::from(u64::MAX))).unwrap_or(0);
-            r
-        } else {
-            f()
-        }
-    }
-}
-
-impl Warmup for FullWarmup {
-    fn on_fetch_line(&mut self, hier: &mut MemHierarchy, pc: Addr) {
-        self.sampled(|| {
-            hier.fetch_access(pc);
+    /// The committed path crossed into the instruction-cache line
+    /// holding `pc`.
+    fn fetch_line(&mut self, pc: Addr) {
+        self.sampled(|w| {
+            w.hier.fetch_access(pc);
         });
     }
 
-    fn on_load(&mut self, hier: &mut MemHierarchy, pc: Addr, addr: Addr, forwarded: bool) {
-        if !forwarded {
-            self.sampled(|| {
-                hier.data_access(pc, addr, false);
+    fn sampled(&mut self, f: impl FnOnce(&mut Self)) {
+        self.calls += 1;
+        if !self.calls.is_multiple_of(Self::SAMPLE) {
+            return f(self);
+        }
+        let t = Instant::now();
+        f(self);
+        self.warm_ns += Self::SAMPLE
+            * u64::try_from(t.elapsed().as_nanos().min(u128::from(u64::MAX))).unwrap_or(0);
+    }
+}
+
+impl Observer for FullWarmup<'_> {
+    /// A load the store-forward window covers is satisfied from the store
+    /// queue in the pipeline and never touches the DL1.
+    fn on_load(&mut self, pc: Addr, addr: Addr, width: u8) {
+        if !self.stores.covers(addr, width) {
+            self.sampled(|w| {
+                w.hier.data_access(pc, addr, false);
             });
         }
     }
 
-    fn on_store(&mut self, hier: &mut MemHierarchy, pc: Addr, addr: Addr) {
-        self.sampled(|| {
-            hier.data_access(pc, addr, true);
+    fn on_store(&mut self, pc: Addr, addr: Addr, width: u8) {
+        self.stores.push(addr, width);
+        self.sampled(|w| {
+            w.hier.data_access(pc, addr, true);
         });
     }
 
-    fn on_cond_branch(&mut self, bp: &mut BranchPredictor, pc: Addr, taken: bool) {
-        self.sampled(|| {
-            let (pred, ghr_before) = bp.predict_cond(pc);
+    fn on_cond_branch(&mut self, pc: Addr, taken: bool) {
+        self.sampled(|w| {
+            let (pred, ghr_before) = w.bp.predict_cond(pc);
             if pred != taken {
-                let ras = bp.ras_snapshot();
-                bp.recover_cond(ghr_before, taken, &ras);
+                let ras = w.bp.ras_snapshot();
+                w.bp.recover_cond(ghr_before, taken, &ras);
             }
-            bp.commit_cond(pc, ghr_before, taken);
+            w.bp.commit_cond(pc, ghr_before, taken);
         });
     }
 
-    fn on_call(&mut self, bp: &mut BranchPredictor, return_addr: Addr) {
-        self.sampled(|| {
-            bp.on_call(return_addr);
+    fn on_call(&mut self, return_addr: Addr) {
+        self.sampled(|w| {
+            w.bp.on_call(return_addr);
         });
     }
 
-    fn on_return(&mut self, bp: &mut BranchPredictor, target: Addr) {
-        self.sampled(|| {
-            let ghr_before = bp.ghr();
-            let pred = bp.predict_return();
+    fn on_return(&mut self, target: Addr) {
+        self.sampled(|w| {
+            let ghr_before = w.bp.ghr();
+            let pred = w.bp.predict_return();
             if pred != Some(target) {
-                let ras = bp.ras_snapshot();
-                bp.recover_indirect(ghr_before, &ras);
+                let ras = w.bp.ras_snapshot();
+                w.bp.recover_indirect(ghr_before, &ras);
             }
         });
     }
 
-    fn on_indirect(&mut self, bp: &mut BranchPredictor, pc: Addr, fallthrough: Addr, target: Addr) {
-        self.sampled(|| {
-            let ghr_before = bp.ghr();
-            let (t, _) = bp.predict_indirect(pc);
+    fn on_indirect(&mut self, pc: Addr, fallthrough: Addr, target: Addr) {
+        self.sampled(|w| {
+            let ghr_before = w.bp.ghr();
+            let (t, _) = w.bp.predict_indirect(pc);
             let predicted = if t == 0 { fallthrough } else { t };
             if predicted != target {
-                let ras = bp.ras_snapshot();
-                bp.recover_indirect(ghr_before, &ras);
+                let ras = w.bp.ras_snapshot();
+                w.bp.recover_indirect(ghr_before, &ras);
             }
-            bp.commit_indirect(pc, ghr_before, target);
+            w.bp.commit_indirect(pc, ghr_before, target);
         });
     }
-}
-
-/// The cold-handoff ablation: fast-forward architecturally but warm
-/// nothing. Exists so tests (and curious users) can measure how much of
-/// tiered exactness the warmup models carry.
-#[derive(Debug, Default)]
-pub struct NoWarmup;
-
-impl Warmup for NoWarmup {
-    fn on_fetch_line(&mut self, _: &mut MemHierarchy, _: Addr) {}
-    fn on_load(&mut self, _: &mut MemHierarchy, _: Addr, _: Addr, _: bool) {}
-    fn on_store(&mut self, _: &mut MemHierarchy, _: Addr, _: Addr) {}
-    fn on_cond_branch(&mut self, _: &mut BranchPredictor, _: Addr, _: bool) {}
-    fn on_call(&mut self, _: &mut BranchPredictor, _: Addr) {}
-    fn on_return(&mut self, _: &mut BranchPredictor, _: Addr) {}
-    fn on_indirect(&mut self, _: &mut BranchPredictor, _: Addr, _: Addr, _: Addr) {}
 }
 
 /// May the fast-forward engine execute the *next* instruction (commit
@@ -234,10 +203,10 @@ pub fn ff_window_allows(roi: Roi, committed: u64) -> bool {
 
 /// A timeless stand-in for the store queue, used only to decide whether
 /// a load would have been satisfied by store-queue forwarding (in which
-/// case the pipeline never touches the DL1 for it). Mirrors
-/// `Lsq::check_load`'s forwarding rule — youngest overlapping store
-/// wins, forwarding requires same address and covering width — over a
-/// sliding window of the most recent `cap` stores.
+/// case the pipeline never touches the DL1 for it). Applies
+/// [`crate::lsq::Lsq::check_load`]'s forwarding rule ([`overlap`]; youngest
+/// overlapping store wins) over a sliding window of the most recent
+/// `cap` stores.
 #[derive(Debug)]
 struct StoreWindow {
     ring: Vec<(Addr, u8)>,
@@ -260,20 +229,18 @@ impl StoreWindow {
         }
     }
 
-    /// Youngest-first scan, same verdict shape as the LSQ: an exact-base
+    /// Youngest-first scan, same verdict as the LSQ: an exact-base
     /// covering store forwards; a partially overlapping one does not
     /// (the pipeline's load waits and then reads the DL1); older stores
     /// are shadowed by the youngest overlap.
     fn covers(&self, addr: Addr, width: u8) -> bool {
-        let lo = addr;
-        let hi = addr + u64::from(width);
         let n = self.ring.len();
         for i in 1..=n {
             let idx = (self.next + self.cap - i) % self.cap;
             let Some(&(sa, sw)) = self.ring.get(idx) else { continue };
-            let shi = sa + u64::from(sw);
-            if lo < shi && sa < hi {
-                return sa == addr && sw >= width;
+            match overlap(sa, sw, addr, width) {
+                Overlap::Disjoint => {}
+                verdict => return verdict == Overlap::Forward,
             }
         }
         false
@@ -305,9 +272,9 @@ pub(crate) struct FastForward<'a> {
     pub prog: &'a DecodedProgram,
     pub mem: &'a mut Memory,
     pub regs: &'a mut [u64; NUM_ARCH_REGS],
-    pub hier: &'a mut MemHierarchy,
-    pub bp: &'a mut BranchPredictor,
     pub last_fetch_line: &'a mut Option<u64>,
+    /// The kernel observer warming the timed structures.
+    pub warm: FullWarmup<'a>,
     /// Current fetch PC (in/out).
     pub pc: Addr,
     /// Global committed-instruction counter (in/out).
@@ -318,17 +285,8 @@ pub(crate) struct FastForward<'a> {
 
 impl FastForward<'_> {
     /// Execute functionally until an ROI boundary, fault, budget, or
-    /// deadline. `store_window` is the store-queue capacity (the
-    /// forwarding window); `budget` bounds the *global* committed count.
-    pub(crate) fn run<W: Warmup>(
-        &mut self,
-        warm: &mut W,
-        roi: Roi,
-        store_window: usize,
-        budget: u64,
-        deadline: Option<Instant>,
-    ) -> FfStop {
-        let mut stores = StoreWindow::new(store_window);
+    /// deadline; `budget` bounds the *global* committed count.
+    pub(crate) fn run(&mut self, roi: Roi, budget: u64, deadline: Option<Instant>) -> FfStop {
         let mut quantum: u32 = 0;
         loop {
             if !ff_window_allows(roi, self.committed) {
@@ -352,118 +310,18 @@ impl FastForward<'_> {
                     }
                 }
             }
-            if let Err(fault) = self.step(warm, &mut stores, inst, len) {
-                return FfStop::Fault(fault);
+            let line = self.pc / FETCH_LINE_BYTES;
+            if *self.last_fetch_line != Some(line) {
+                self.warm.fetch_line(self.pc);
+                *self.last_fetch_line = Some(line);
+            }
+            match semantics::step(inst, len, self.pc, self.regs, self.mem, &mut self.warm) {
+                Ok(next) => self.pc = next,
+                Err(fault) => return FfStop::Fault(fault),
             }
             self.committed += 1;
             self.executed += 1;
         }
-    }
-
-    /// Execute one instruction: warm the fetch line, evaluate through
-    /// the shared semantic kernel, warm data/branch structures, advance
-    /// the PC.
-    fn step<W: Warmup>(
-        &mut self,
-        warm: &mut W,
-        stores: &mut StoreWindow,
-        inst: Inst,
-        len: usize,
-    ) -> Result<(), ExecError> {
-        let pc = self.pc;
-        let line = pc / LINE_BYTES;
-        if *self.last_fetch_line != Some(line) {
-            warm.on_fetch_line(self.hier, pc);
-            *self.last_fetch_line = Some(line);
-        }
-
-        let srcs = inst.sources();
-        let read = |regs: &[u64; NUM_ARCH_REGS], r: Option<Reg>| {
-            r.map_or(0, |r| if r.is_zero() { 0 } else { regs[r.index()] })
-        };
-        let v1 = read(self.regs, srcs[0]);
-        let v2 = read(self.regs, srcs[1]);
-        let next_seq = pc + len as Addr;
-        let mut next_pc = next_seq;
-
-        match inst.op {
-            Opcode::Nop => {}
-            op if op.is_load() => {
-                let addr = v1.wrapping_add(inst.imm as u64);
-                let width = access_width(op) as u8;
-                let value = match width {
-                    1 => u64::from(self.mem.read_u8(addr)),
-                    4 => u64::from(self.mem.read_u32(addr)),
-                    _ => self.mem.read_u64(addr),
-                };
-                warm.on_load(self.hier, pc, addr, stores.covers(addr, width));
-                if let Some(rd) = inst.dest() {
-                    self.regs[rd.index()] = value;
-                }
-            }
-            op if op.is_store() => {
-                let addr = v1.wrapping_add(inst.imm as u64);
-                let width = access_width(op) as u8;
-                match width {
-                    1 => self.mem.write_u8(addr, v2 as u8),
-                    4 => self.mem.write_u32(addr, v2 as u32),
-                    _ => self.mem.write_u64(addr, v2),
-                }
-                stores.push(addr, width);
-                warm.on_store(self.hier, pc, addr);
-            }
-            op if op.is_cond_branch() => {
-                let taken = branch_taken(op, v1, v2);
-                warm.on_cond_branch(self.bp, pc, taken);
-                if taken {
-                    next_pc = inst.branch_target(pc, len);
-                }
-            }
-            Opcode::Jal => {
-                if inst.rd == Reg::RA {
-                    warm.on_call(self.bp, next_seq);
-                }
-                if let Some(rd) = inst.dest() {
-                    self.regs[rd.index()] = next_seq;
-                }
-                next_pc = inst.branch_target(pc, len);
-            }
-            Opcode::Jalr => {
-                let target = v1.wrapping_add(inst.imm as u64);
-                if inst.rd == Reg::X0 && inst.rs1 == Reg::RA {
-                    warm.on_return(self.bp, target);
-                } else {
-                    warm.on_indirect(self.bp, pc, next_seq, target);
-                }
-                if let Some(rd) = inst.dest() {
-                    self.regs[rd.index()] = next_seq;
-                }
-                next_pc = target;
-            }
-            _ => {
-                let b = match inst.op.format() {
-                    Format::R3 => v2,
-                    _ => inst.imm as u64,
-                };
-                let vold = if inst.reads_dest() && !inst.rd.is_zero() {
-                    self.regs[inst.rd.index()]
-                } else {
-                    0
-                };
-                match eval_op(&inst, v1, b, vold) {
-                    Ok(value) => {
-                        if let Some(rd) = inst.dest() {
-                            self.regs[rd.index()] = value;
-                        }
-                    }
-                    Err(IntFault::DivideByZero) => {
-                        return Err(ExecError::DivideByZero { pc });
-                    }
-                }
-            }
-        }
-        self.pc = next_pc;
-        Ok(())
     }
 }
 
@@ -506,5 +364,10 @@ mod tests {
         assert!(!s.covers(0x10, 8), "evicted store no longer forwards");
         assert!(s.covers(0x20, 8));
         assert!(s.covers(0x30, 8));
+        // A store straddling the top of memory overlaps the bytes it
+        // wraps onto.
+        s.push(u64::MAX - 3, 8);
+        assert!(s.covers(u64::MAX - 3, 8));
+        assert!(!s.covers(0, 4), "the wrapped-onto bytes partially overlap");
     }
 }

@@ -7,7 +7,7 @@ use sempe_isa::asm::Asm;
 use sempe_isa::interp::{Interp, InterpMode};
 use sempe_isa::program::Program;
 use sempe_isa::reg::Reg;
-use sempe_sim::{SimConfig, Simulator};
+use sempe_sim::{SimConfig, Simulator, Stepping};
 
 const FUEL: u64 = 2_000_000;
 
@@ -228,6 +228,47 @@ fn forwarding_widths_match_oracle() {
     a.halt();
     let prog = a.assemble().unwrap();
     compare_states(&prog, buf, SimConfig::baseline());
+}
+
+/// Stores and loads at the top of the address space. Each access covers
+/// `[addr, addr + width)` modulo 2^64, so the store-to-load forwarding rule
+/// must neither overflow there nor miss an overlap that wraps: an exact
+/// reload forwards, and a load of the wrapped-onto bytes at address 0
+/// waits for the store to commit. Every stepping mode, on both machines.
+#[test]
+fn top_of_memory_accesses_match_oracle() {
+    let (base, value, reload, low) = (Reg::x(5), Reg::x(6), Reg::x(7), Reg::x(28));
+    for addr in [-8i64, (u64::MAX - 3) as i64] {
+        let mut a = Asm::new();
+        a.movi(base, addr);
+        a.movi(value, 0x1122_3344_5566_772A);
+        a.st(base, value, 0);
+        a.ld(reload, base, 0);
+        a.ldw(low, Reg::X0, 0);
+        a.halt();
+        let prog = a.assemble().unwrap();
+
+        let mut interp = Interp::new(&prog, InterpMode::Legacy).unwrap();
+        interp.run(FUEL).unwrap();
+        assert_eq!(interp.reg(reload), 0x1122_3344_5566_772A);
+        let wrapped = if addr == -8 { 0 } else { 0x1122_3344 };
+        assert_eq!(interp.reg(low), wrapped, "the store at {addr:#x} wraps onto address 0");
+        for config in [SimConfig::baseline(), SimConfig::paper()] {
+            for stepping in [Stepping::Classic, Stepping::Skip, Stepping::Tiered] {
+                let mut sim = Simulator::new(&prog, config.with_stepping(stepping)).expect("sim");
+                assert!(sim.run(FUEL).expect("sim runs to halt").halted);
+                for r in [base, value, reload, low] {
+                    assert_eq!(
+                        sim.arch_reg(r),
+                        interp.reg(r),
+                        "{} {stepping:?}: {r} differs from the oracle at {addr:#x}",
+                        config.mode.name()
+                    );
+                }
+                assert_eq!(sim.mem().read_u64(addr as u64), interp.mem().read_u64(addr as u64));
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
