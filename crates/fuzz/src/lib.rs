@@ -16,7 +16,7 @@
 //!    — and, for paired secret inputs, the leak invariant (committed
 //!    counts, cycle counts and observation traces must be
 //!    secret-independent on the protected backends);
-//! 3. [`shrink`] minimizes any divergence to a small reproducer, which
+//! 3. [`shrink()`] minimizes any divergence to a small reproducer, which
 //!    is checked into `corpus/` as readable WIR source and replayed as a
 //!    regression test forever after.
 //!

@@ -1,9 +1,9 @@
 //! Greedy divergence-preserving minimizer.
 //!
-//! Given a case that provokes a [`Divergence`], repeatedly try
-//! single-step reductions — delete a statement, inline a conditional
-//! arm, unroll a loop body once, collapse a subexpression, zero an
-//! initializer — and keep any reduction that still provokes a
+//! Given a case that provokes a [`Divergence`](crate::Divergence),
+//! repeatedly try single-step reductions — delete a statement, inline a
+//! conditional arm, unroll a loop body once, collapse a subexpression,
+//! zero an initializer — and keep any reduction that still provokes a
 //! divergence of the same kind. The result is the small reproducer that
 //! gets checked into `corpus/`.
 

@@ -104,12 +104,14 @@ impl Inst {
     ///
     /// Only meaningful for `Branch` and `Jal` formats; indirect jumps
     /// (`JALR`) compute their target from a register at execute time.
+    #[inline]
     #[must_use]
     pub fn branch_target(self, pc: Addr, len: usize) -> Addr {
         (pc as i64 + len as i64 + self.imm) as Addr
     }
 
     /// Architectural destination register, if the instruction writes one.
+    #[inline]
     #[must_use]
     pub fn dest(self) -> Option<Reg> {
         let rd = match self.op.format() {
@@ -124,6 +126,7 @@ impl Inst {
     }
 
     /// Source registers actually read by this instruction.
+    #[inline]
     #[must_use]
     pub fn sources(self) -> [Option<Reg>; 2] {
         let keep = |r: Reg| if r.is_zero() { None } else { Some(r) };

@@ -69,6 +69,7 @@ macro_rules! opcodes {
             }
 
             /// Operand layout.
+            #[inline]
             #[must_use]
             pub const fn format(self) -> Format {
                 match self {

@@ -172,7 +172,7 @@ const NO_INST: u32 = u32::MAX;
 /// so [`DecodedProgram::try_fetch`] is one of the hottest operations in
 /// the whole reproduction. `starts[pc - code_base]` resolves a byte
 /// offset to an index into the address-ordered instruction array (or the
-/// [`NO_INST`] sentinel for mid-instruction offsets), making both fetch
+/// `NO_INST` sentinel for mid-instruction offsets), making both fetch
 /// paths two bounds-checked array reads.
 #[derive(Debug, Clone)]
 pub struct DecodedProgram {

@@ -256,6 +256,7 @@ pub fn eval_op(inst: &Inst, a: u64, b: u64, old: u64) -> Result<u64, IntFault> {
 }
 
 /// Does the conditional branch `op` fire given operand values `a`, `b`?
+#[inline]
 #[must_use]
 pub fn branch_taken(op: Opcode, a: u64, b: u64) -> bool {
     match op {
@@ -270,6 +271,7 @@ pub fn branch_taken(op: Opcode, a: u64, b: u64) -> bool {
 }
 
 /// Access width in bytes for a load or store opcode.
+#[inline]
 #[must_use]
 pub fn access_width(op: Opcode) -> u8 {
     match op {

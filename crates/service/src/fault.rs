@@ -132,7 +132,8 @@ impl FaultSite {
 pub struct FaultPlan {
     /// Seed of the per-site decision sequences.
     pub seed: u64,
-    /// Per-mille firing rate per site (indexed by [`FaultSite::index`]).
+    /// Per-mille firing rate per site, indexed by site in
+    /// declaration order.
     pub rates: [u16; FaultSite::COUNT],
     /// Stall duration for `read_stall`, milliseconds.
     pub read_stall_ms: u64,

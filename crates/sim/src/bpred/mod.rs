@@ -16,7 +16,7 @@ use sempe_isa::Addr;
 
 use crate::config::BpredConfig;
 pub use ittage::Ittage;
-pub use ras::{RasSnapshot, ReturnStack};
+pub use ras::{RasCheckpoints, RasHandle, RasSnapshot, ReturnStack};
 pub use tage::{push_history, Tage, TagePrediction};
 
 /// Counters for predictor behavior.
@@ -108,6 +108,12 @@ impl BranchPredictor {
         self.ras.pop()
     }
 
+    /// The return-address stack.
+    #[must_use]
+    pub fn ras(&self) -> &ReturnStack {
+        &self.ras
+    }
+
     /// Snapshot the RAS for squash recovery.
     #[must_use]
     pub fn ras_snapshot(&self) -> RasSnapshot {
@@ -116,17 +122,47 @@ impl BranchPredictor {
 
     /// Squash recovery for a mispredicted conditional branch: rewind the
     /// history to `ghr_before`, insert the actual outcome, restore the RAS.
-    pub fn recover_cond(&mut self, ghr_before: u64, actual_taken: bool, ras: &RasSnapshot) {
-        self.ghr = push_history(ghr_before, actual_taken);
+    pub fn recover_cond(&mut self, ghr_before: u64, actual_taken: bool, ras: &[Addr]) {
+        self.rewind_cond(ghr_before, actual_taken);
         self.ras.restore(ras);
+    }
+
+    /// [`BranchPredictor::recover_cond`] for a branch whose RAS snapshot
+    /// is the current stack (nothing was fetched past it): the history
+    /// half only.
+    pub fn rewind_cond(&mut self, ghr_before: u64, actual_taken: bool) {
+        self.ghr = push_history(ghr_before, actual_taken);
         self.stats.cond_mispredicts += 1;
     }
 
     /// Squash recovery for a mispredicted indirect target.
-    pub fn recover_indirect(&mut self, ghr_before: u64, ras: &RasSnapshot) {
-        self.ghr = ghr_before;
+    pub fn recover_indirect(&mut self, ghr_before: u64, ras: &[Addr]) {
+        self.rewind_indirect(ghr_before);
         self.ras.restore(ras);
+    }
+
+    /// [`BranchPredictor::recover_indirect`] without the RAS restore (see
+    /// [`BranchPredictor::rewind_cond`]).
+    pub fn rewind_indirect(&mut self, ghr_before: u64) {
+        self.ghr = ghr_before;
         self.stats.indirect_mispredicts += 1;
+    }
+
+    /// A committed conditional branch replayed by the fast-forward tier:
+    /// the pipeline's predict, recover-on-mismatch (history half) and
+    /// train sequence for it, with one TAGE table lookup for both the
+    /// prediction and the training (nothing changes the tables in
+    /// between).
+    pub fn warm_cond(&mut self, pc: Addr, taken: bool) {
+        let ghr_before = self.ghr;
+        let lookup = self.tage.lookup(pc, ghr_before);
+        let pred = self.tage.predict_at(pc, &lookup).taken;
+        self.ghr = push_history(ghr_before, pred);
+        self.stats.cond_predictions += 1;
+        if pred != taken {
+            self.rewind_cond(ghr_before, taken);
+        }
+        self.tage.update_at(pc, &lookup, taken);
     }
 
     /// Commit-time training of a conditional branch.

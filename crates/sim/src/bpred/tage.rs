@@ -35,6 +35,20 @@ pub struct Tage {
     updates: u64,
 }
 
+/// Number of tagged tables (the length of
+/// [`BpredConfig::tage_hist_lens`]).
+const TABLES: usize = 4;
+const _: () = assert!(BpredConfig::paper().tage_hist_lens.len() == TABLES);
+
+/// Where a branch lives in each tagged table: the folded index and tag
+/// of every table for one `(pc, ghr)`, computed once per prediction or
+/// update.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Lookup {
+    index: [usize; TABLES],
+    tag: [u16; TABLES],
+}
+
 /// Internals of one prediction, consumed by [`Tage::update`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TagePrediction {
@@ -69,34 +83,36 @@ impl Tage {
         (bimodal_bits + table_bits) / 8
     }
 
-    /// Fold the low `len` bits of `hist` into `out_bits` bits.
+    /// Fold the low `len` bits of `hist` into `out_bits` bits: the XOR
+    /// of its `out_bits`-wide chunks.
     fn fold(hist: u64, len: usize, out_bits: usize) -> u64 {
-        let masked = if len >= 64 { hist } else { hist & ((1u64 << len) - 1) };
-        let mut folded = 0u64;
-        let mut rest = masked;
+        let mut rest = if len >= 64 { hist } else { hist & ((1u64 << len) - 1) };
         let chunk = out_bits.max(1);
-        let mut remaining = len;
-        while remaining > 0 {
-            folded ^= rest & ((1u64 << chunk) - 1);
+        let mask = (1u64 << chunk) - 1;
+        let mut folded = 0u64;
+        // Chunks past the highest set bit are zero and fold to nothing.
+        while rest != 0 {
+            folded ^= rest & mask;
             rest >>= chunk;
-            remaining = remaining.saturating_sub(chunk);
         }
         folded
     }
 
-    fn index(&self, table: usize, pc: Addr, ghr: u64) -> usize {
-        let bits = self.cfg.tage_table_bits;
-        let h = Self::fold(ghr, self.cfg.tage_hist_lens[table], bits);
-        let mix = (pc >> 2) ^ (pc >> (bits as u64 + 2)) ^ h ^ (table as u64).wrapping_mul(0x9E37);
-        (mix as usize) & ((1 << bits) - 1)
-    }
-
-    fn tag(&self, table: usize, pc: Addr, ghr: u64) -> u16 {
-        let bits = self.cfg.tage_tag_bits;
-        let h = Self::fold(ghr, self.cfg.tage_hist_lens[table], bits);
-        let h2 = Self::fold(ghr, self.cfg.tage_hist_lens[table], bits.saturating_sub(1).max(1));
-        let mix = (pc >> 2) ^ h ^ (h2 << 1) ^ ((table as u64) << 3);
-        (mix as u16) & ((1u16 << bits) - 1)
+    /// Every table's index and tag for the branch at `pc` under `ghr`.
+    pub(crate) fn lookup(&self, pc: Addr, ghr: u64) -> Lookup {
+        let (index_bits, tag_bits) = (self.cfg.tage_table_bits, self.cfg.tage_tag_bits);
+        let mut l = Lookup { index: [0; TABLES], tag: [0; TABLES] };
+        for (t, &len) in self.cfg.tage_hist_lens.iter().enumerate() {
+            let h = Self::fold(ghr, len, index_bits);
+            let mix =
+                (pc >> 2) ^ (pc >> (index_bits as u64 + 2)) ^ h ^ (t as u64).wrapping_mul(0x9E37);
+            l.index[t] = (mix as usize) & ((1 << index_bits) - 1);
+            let h = Self::fold(ghr, len, tag_bits);
+            let h2 = Self::fold(ghr, len, tag_bits.saturating_sub(1).max(1));
+            let mix = (pc >> 2) ^ h ^ (h2 << 1) ^ ((t as u64) << 3);
+            l.tag[t] = (mix as u16) & ((1u16 << tag_bits) - 1);
+        }
+        l
     }
 
     fn bimodal_index(&self, pc: Addr) -> usize {
@@ -107,12 +123,17 @@ impl Tage {
     /// global history `ghr`.
     #[must_use]
     pub fn predict(&self, pc: Addr, ghr: u64) -> TagePrediction {
+        self.predict_at(pc, &self.lookup(pc, ghr))
+    }
+
+    /// [`Tage::predict`] at a precomputed [`Tage::lookup`].
+    pub(crate) fn predict_at(&self, pc: Addr, l: &Lookup) -> TagePrediction {
         let mut provider = None;
         let mut alt: Option<bool> = None;
         // Longest history first.
-        for t in (0..self.tables.len()).rev() {
-            let e = &self.tables[t][self.index(t, pc, ghr)];
-            if e.tag == self.tag(t, pc, ghr) {
+        for t in (0..TABLES).rev() {
+            let e = &self.tables[t][l.index[t]];
+            if e.tag == l.tag[t] {
                 if provider.is_none() {
                     provider = Some((t, e.ctr >= 0));
                 } else if alt.is_none() {
@@ -134,6 +155,11 @@ impl Tage {
     /// Commit-time training. `ghr` must be the history value that was in
     /// force when this branch was predicted.
     pub fn update(&mut self, pc: Addr, ghr: u64, taken: bool) {
+        self.update_at(pc, &self.lookup(pc, ghr), taken);
+    }
+
+    /// [`Tage::update`] at a precomputed [`Tage::lookup`].
+    pub(crate) fn update_at(&mut self, pc: Addr, l: &Lookup, taken: bool) {
         self.updates += 1;
         // Periodic graceful aging of usefulness (every 256 Ki updates).
         if self.updates & ((1 << 18) - 1) == 0 {
@@ -143,13 +169,12 @@ impl Tage {
                 }
             }
         }
-        let pred = self.predict(pc, ghr);
+        let pred = self.predict_at(pc, l);
         let correct = pred.taken == taken;
 
         match pred.provider {
             Some(t) => {
-                let idx = self.index(t, pc, ghr);
-                let e = &mut self.tables[t][idx];
+                let e = &mut self.tables[t][l.index[t]];
                 e.ctr = (e.ctr + if taken { 1 } else { -1 }).clamp(-4, 3);
                 if pred.taken != pred.alt_taken {
                     if correct {
@@ -170,20 +195,18 @@ impl Tage {
         if !correct {
             let start = pred.provider.map_or(0, |t| t + 1);
             let mut allocated = false;
-            for t in start..self.tables.len() {
-                let idx = self.index(t, pc, ghr);
+            for t in start..TABLES {
+                let idx = l.index[t];
                 if self.tables[t][idx].useful == 0 {
-                    let tag = self.tag(t, pc, ghr);
                     self.tables[t][idx] =
-                        TageEntry { tag, ctr: if taken { 0 } else { -1 }, useful: 0 };
+                        TageEntry { tag: l.tag[t], ctr: if taken { 0 } else { -1 }, useful: 0 };
                     allocated = true;
                     break;
                 }
             }
             if !allocated {
-                for t in start..self.tables.len() {
-                    let idx = self.index(t, pc, ghr);
-                    let e = &mut self.tables[t][idx];
+                for t in start..TABLES {
+                    let e = &mut self.tables[t][l.index[t]];
                     e.useful = e.useful.saturating_sub(1);
                 }
             }

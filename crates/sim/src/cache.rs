@@ -185,7 +185,9 @@ impl StridePrefetcher {
             *e = StrideEntry { pc, last_addr: addr, stride: 0, confidence: 0, valid: true };
             return None;
         }
-        let new_stride = addr as i64 - e.last_addr as i64;
+        // Strides and targets wrap at the top of the address space, as
+        // the release build always did.
+        let new_stride = addr.wrapping_sub(e.last_addr) as i64;
         if new_stride == e.stride && new_stride != 0 {
             e.confidence = (e.confidence + 1).min(3);
         } else {
@@ -194,7 +196,7 @@ impl StridePrefetcher {
         }
         e.last_addr = addr;
         if e.confidence >= 2 {
-            Some((addr as i64 + e.stride) as Addr)
+            Some(addr.wrapping_add(e.stride as u64))
         } else {
             None
         }
@@ -551,5 +553,23 @@ mod tests {
             }
         }
         assert!(misses < 16, "prefetcher must convert some misses into hits");
+    }
+
+    #[test]
+    fn stride_training_wraps_across_the_sign_boundary() {
+        // A load stream from one pc that crosses 2^63: strides and
+        // prefetch targets wrap instead of overflowing.
+        let mut p = StridePrefetcher::new(16);
+        let base = 0x7FFF_FFFF_FFFF_FF00u64;
+        let mut last = None;
+        for i in 0..8u64 {
+            last = p.train(0x40, base.wrapping_add(64 * i));
+        }
+        assert_eq!(last, Some(base.wrapping_add(64 * 8)), "confident stride of +64");
+        let mut p = StridePrefetcher::new(16);
+        for i in 0..8u64 {
+            last = p.train(0x40, u64::MAX - 64 * i);
+        }
+        assert_eq!(last, Some(u64::MAX - 64 * 8), "descending stream at the top");
     }
 }

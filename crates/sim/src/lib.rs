@@ -51,6 +51,7 @@
 
 pub mod bpred;
 pub mod cache;
+mod calendar;
 pub mod config;
 pub mod lsq;
 pub mod pipeline;

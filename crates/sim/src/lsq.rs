@@ -2,6 +2,21 @@
 //! forwarding and conservative memory-dependence handling (a load waits
 //! for every older store address before it may bypass them — no memory
 //! dependence speculation, which keeps wrong-path behavior deterministic).
+//!
+//! Disambiguation is event-driven. A [`LoadCheck::Wait`] verdict names
+//! the one store that decides it (a [`Blocker`]): an older store whose
+//! address is still unknown decides it when it *resolves*; a resolved
+//! older store that partially overlaps the load decides it when it
+//! *commits*. Nothing else can change the verdict. Stores older than the
+//! load cannot appear (rename is in order), the resolved, disjoint
+//! stores between the blocker and the load never change, and the blocker
+//! can leave the queue only by committing or by a squash that also kills
+//! the load. So a parked load needs another look exactly when
+//! [`Lsq::settled`] says its blocker has moved, an O(1) test, and the
+//! queue counts the loads parked on each store so that it can tell
+//! ([`Lsq::take_woken`]) when any blocker moved at all.
+
+use std::collections::VecDeque;
 
 use sempe_isa::Addr;
 
@@ -10,7 +25,7 @@ use crate::skip::Wake;
 /// One store-queue entry.
 #[derive(Debug, Clone, Copy)]
 pub struct StoreEntry {
-    /// Identity (monotone, never reused).
+    /// Identity: ids of the queued stores are consecutive, oldest first.
     pub id: u64,
     /// Program-order sequence of the owning store µop.
     pub seq: u64,
@@ -20,6 +35,19 @@ pub struct StoreEntry {
     pub data: u64,
     /// Access width in bytes.
     pub width: u8,
+    /// Loads parked on this store (see [`Lsq::park`]).
+    pub parked: u32,
+}
+
+/// The store that decides a [`LoadCheck::Wait`] verdict, by the event
+/// that can change it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Blocker {
+    /// The store with this id has no address yet: its resolve decides.
+    Unresolved(u64),
+    /// The store with this id partially overlaps the load: its commit
+    /// decides.
+    Overlap(u64),
 }
 
 /// Outcome of a load's store-queue scan.
@@ -30,8 +58,8 @@ pub enum LoadCheck {
     /// An exact-match older store supplies the value.
     Forward(u64),
     /// An older store's address is unknown, or a partial overlap exists:
-    /// replay the load later.
-    Wait,
+    /// replay the load once the blocker settles.
+    Wait(Blocker),
 }
 
 /// How an older store's bytes relate to a load's.
@@ -74,21 +102,29 @@ pub(crate) fn overlap(
 ///
 /// `stores` is kept in program (seq) order by construction: entries are
 /// allocated at rename in program order, commit pops from the front, and
-/// squash removes a suffix. [`Lsq::check_load`] exploits this to walk
-/// the older-stores prefix youngest-first with no allocation or sort.
+/// squash removes a suffix. Ids are consecutive from `head_id`, so the
+/// store with id `id` sits at `stores[id - head_id]`: resolve and commit
+/// are O(1), and [`Lsq::check_load`] walks the older-stores prefix
+/// youngest-first with no allocation or sort.
 #[derive(Debug)]
 pub struct Lsq {
-    stores: Vec<StoreEntry>,
+    stores: VecDeque<StoreEntry>,
+    /// Id of `stores[0]`. A squash hands the ids of the stores it drops
+    /// out again, which keeps the queued ids consecutive.
+    head_id: u64,
     sq_capacity: usize,
     lq_capacity: usize,
     loads_in_flight: usize,
-    next_store_id: u64,
     /// Forwarding events (statistics).
     pub forwards: u64,
-    /// Bumped on every store-queue mutation that could change a
-    /// [`Lsq::check_load`] verdict. A load that got [`LoadCheck::Wait`]
-    /// keeps waiting until this changes, so the replay machinery can skip
-    /// re-checking against an unchanged queue.
+    /// A store with parked loads resolved or committed since the last
+    /// [`Lsq::take_woken`].
+    woken: bool,
+    /// Bumped on every store-queue mutation: allocate, resolve, commit
+    /// and squash. It no longer drives disambiguation (parked loads wait
+    /// on their [`Blocker`]); it times the `load_replays` statistic and
+    /// the replay stage's [`Wake`] report, which count a replay pass on
+    /// every cycle the queue changed while loads were parked.
     version: u64,
 }
 
@@ -97,12 +133,13 @@ impl Lsq {
     #[must_use]
     pub fn new(lq_capacity: usize, sq_capacity: usize) -> Self {
         Lsq {
-            stores: Vec::with_capacity(sq_capacity),
+            stores: VecDeque::with_capacity(sq_capacity),
+            head_id: 0,
             sq_capacity,
             lq_capacity,
             loads_in_flight: 0,
-            next_store_id: 0,
             forwards: 0,
+            woken: false,
             version: 0,
         }
     }
@@ -113,12 +150,13 @@ impl Lsq {
         self.version
     }
 
-    /// Next-event report for loads parked on a [`LoadCheck::Wait`]
-    /// verdict issued at store-queue version `version`: their verdict
-    /// can only change when the queue changes, so an unchanged queue is
-    /// [`Wake::Idle`] (the mutation that changes it — a store resolve,
-    /// commit, or squash — is itself driven by a completion or commit
-    /// event that already ends any skip). The LSQ holds no timers.
+    /// Next-event report of the replay stage for loads parked since
+    /// store-queue version `version`: a replay pass is due ([`Wake::Now`])
+    /// once the queue has changed, and an unchanged queue is
+    /// [`Wake::Idle`] (the mutation that changes it — an allocate,
+    /// resolve, commit, or squash — is itself driven by a rename,
+    /// completion or commit event that already ends any skip). The LSQ
+    /// holds no timers.
     #[must_use]
     pub fn wake_since(&self, version: u64) -> Wake {
         if self.version == version {
@@ -135,15 +173,16 @@ impl Lsq {
     }
 
     /// Reset to the pristine state of `Lsq::new(lq, sq)`, keeping the
-    /// store vector's allocation. The `forwards` statistic is also
+    /// store queue's allocation. The `forwards` statistic is also
     /// zeroed; a checkpoint restore re-seeds it from the checkpoint.
     pub fn reset(&mut self, lq_capacity: usize, sq_capacity: usize) {
         self.stores.clear();
+        self.head_id = 0;
         self.sq_capacity = sq_capacity;
         self.lq_capacity = lq_capacity;
         self.loads_in_flight = 0;
-        self.next_store_id = 0;
         self.forwards = 0;
+        self.woken = false;
         self.version = 0;
     }
 
@@ -174,12 +213,11 @@ impl Lsq {
     pub fn alloc_store(&mut self, seq: u64) -> u64 {
         assert!(self.can_alloc_store(), "store queue overflow");
         debug_assert!(
-            self.stores.last().is_none_or(|s| s.seq < seq),
+            self.stores.back().is_none_or(|s| s.seq < seq),
             "stores must be allocated in program order"
         );
-        let id = self.next_store_id;
-        self.next_store_id += 1;
-        self.stores.push(StoreEntry { id, seq, addr: None, data: 0, width: 0 });
+        let id = self.head_id + self.stores.len() as u64;
+        self.stores.push_back(StoreEntry { id, seq, addr: None, data: 0, width: 0, parked: 0 });
         self.version += 1;
         id
     }
@@ -200,14 +238,48 @@ impl Lsq {
         self.loads_in_flight = self.loads_in_flight.saturating_sub(1);
     }
 
+    /// The queued store with `id`, if any.
+    fn store(&self, id: u64) -> Option<&StoreEntry> {
+        self.stores.get(usize::try_from(id.wrapping_sub(self.head_id)).ok()?)
+    }
+
+    fn store_mut(&mut self, id: u64) -> Option<&mut StoreEntry> {
+        self.stores.get_mut(usize::try_from(id.wrapping_sub(self.head_id)).ok()?)
+    }
+
     /// The store's AGU ran: record address and data.
     pub fn resolve_store(&mut self, id: u64, addr: Addr, data: u64, width: u8) {
-        if let Some(s) = self.stores.iter_mut().find(|s| s.id == id) {
+        if let Some(s) = self.store_mut(id) {
             s.addr = Some(addr);
             s.data = data;
             s.width = width;
+            let woken = s.parked > 0;
+            self.woken |= woken;
             self.version += 1;
         }
+    }
+
+    /// A load parked on `blocker`.
+    pub fn park(&mut self, blocker: Blocker) {
+        let (Blocker::Unresolved(id) | Blocker::Overlap(id)) = blocker;
+        if let Some(s) = self.store_mut(id) {
+            s.parked += 1;
+        }
+    }
+
+    /// A load parked on `blocker` left it (re-checked or squashed).
+    pub fn unpark(&mut self, blocker: Blocker) {
+        let (Blocker::Unresolved(id) | Blocker::Overlap(id)) = blocker;
+        if let Some(s) = self.store_mut(id) {
+            debug_assert!(s.parked > 0);
+            s.parked -= 1;
+        }
+    }
+
+    /// Did a store with parked loads resolve or commit since the last
+    /// call? Clears the flag.
+    pub fn take_woken(&mut self) -> bool {
+        core::mem::take(&mut self.woken)
     }
 
     /// Scan for a load at `seq` reading `[addr, addr+width)`.
@@ -216,7 +288,7 @@ impl Lsq {
         // a prefix; walk it backwards (youngest-first, nearest writer
         // wins), skipping the younger suffix.
         for s in self.stores.iter().rev().skip_while(|s| s.seq >= seq) {
-            let Some(sa) = s.addr else { return LoadCheck::Wait };
+            let Some(sa) = s.addr else { return LoadCheck::Wait(Blocker::Unresolved(s.id)) };
             match overlap(sa, s.width, addr, width) {
                 Overlap::Disjoint => {}
                 Overlap::Forward => {
@@ -229,23 +301,39 @@ impl Lsq {
                     return LoadCheck::Forward(val);
                 }
                 // Partial overlap: wait for the store to commit.
-                Overlap::Partial => return LoadCheck::Wait,
+                Overlap::Partial => return LoadCheck::Wait(Blocker::Overlap(s.id)),
             }
         }
         LoadCheck::Proceed
     }
 
+    /// Has `blocker` moved since a load parked on it — resolved, or left
+    /// the queue? Until it has, a re-check returns the same `Wait`.
+    #[must_use]
+    pub fn settled(&self, blocker: Blocker) -> bool {
+        match blocker {
+            Blocker::Unresolved(id) => self.store(id).is_none_or(|s| s.addr.is_some()),
+            Blocker::Overlap(id) => self.store(id).is_none(),
+        }
+    }
+
     /// Pop the store with `id` at commit (it must be the oldest).
     pub fn commit_store(&mut self, id: u64) -> Option<StoreEntry> {
-        let pos = self.stores.iter().position(|s| s.id == id)?;
-        debug_assert_eq!(pos, 0, "stores must commit in order");
+        if id != self.head_id {
+            debug_assert!(self.store(id).is_none(), "stores must commit in order");
+            return None;
+        }
+        let s = self.stores.pop_front()?;
+        self.head_id += 1;
+        self.woken |= s.parked > 0;
         self.version += 1;
-        Some(self.stores.remove(pos))
+        Some(s)
     }
 
     /// Squash: drop every store younger than `seq`.
     pub fn squash_younger(&mut self, seq: u64) {
-        self.stores.retain(|s| s.seq <= seq);
+        let keep = self.stores.partition_point(|s| s.seq <= seq);
+        self.stores.truncate(keep);
         self.version += 1;
     }
 }
@@ -276,8 +364,8 @@ mod tests {
     #[test]
     fn unknown_older_address_blocks() {
         let mut lsq = Lsq::new(4, 4);
-        let _id = lsq.alloc_store(10);
-        assert_eq!(lsq.check_load(11, 0x500, 8), LoadCheck::Wait);
+        let id = lsq.alloc_store(10);
+        assert_eq!(lsq.check_load(11, 0x500, 8), LoadCheck::Wait(Blocker::Unresolved(id)));
     }
 
     #[test]
@@ -286,7 +374,7 @@ mod tests {
         let id = lsq.alloc_store(10);
         lsq.resolve_store(id, 0x100, 7, 4);
         // 8-byte load over a 4-byte store: partial.
-        assert_eq!(lsq.check_load(11, 0x100, 8), LoadCheck::Wait);
+        assert_eq!(lsq.check_load(11, 0x100, 8), LoadCheck::Wait(Blocker::Overlap(id)));
         // Disjoint: fine.
         assert_eq!(lsq.check_load(11, 0x110, 8), LoadCheck::Proceed);
     }
@@ -306,7 +394,7 @@ mod tests {
         let id = lsq.alloc_store(10);
         lsq.resolve_store(id, top, 42, 8);
         assert_eq!(lsq.check_load(11, top, 8), LoadCheck::Forward(42));
-        assert_eq!(lsq.check_load(11, 0, 4), LoadCheck::Wait);
+        assert_eq!(lsq.check_load(11, 0, 4), LoadCheck::Wait(Blocker::Overlap(id)));
     }
 
     #[test]
@@ -343,5 +431,63 @@ mod tests {
         assert!(lsq.can_alloc_load());
         lsq.alloc_store(1);
         assert!(!lsq.can_alloc_store());
+    }
+
+    #[test]
+    fn a_parked_load_settles_only_when_its_blocker_moves() {
+        let mut lsq = Lsq::new(4, 4);
+        let old = lsq.alloc_store(10);
+        let mid = lsq.alloc_store(12);
+        lsq.resolve_store(mid, 0x200, 1, 8);
+        let LoadCheck::Wait(b) = lsq.check_load(13, 0x100, 8) else { panic!("must wait") };
+        assert_eq!(b, Blocker::Unresolved(old), "the disjoint younger store is skipped");
+        let young = lsq.alloc_store(14);
+        lsq.resolve_store(young, 0x100, 2, 8);
+        assert!(!lsq.settled(b), "a younger store never decides an older load");
+        lsq.resolve_store(old, 0x104, 3, 4);
+        assert!(lsq.settled(b));
+        let LoadCheck::Wait(b) = lsq.check_load(13, 0x100, 8) else { panic!("must wait") };
+        assert_eq!(b, Blocker::Overlap(old));
+        assert!(!lsq.settled(b));
+        lsq.commit_store(old).unwrap();
+        assert!(lsq.settled(b));
+        assert_eq!(lsq.check_load(13, 0x100, 8), LoadCheck::Proceed);
+    }
+
+    #[test]
+    fn squash_hands_out_ids_again_and_keeps_them_consecutive() {
+        let mut lsq = Lsq::new(4, 4);
+        let a = lsq.alloc_store(10);
+        let b = lsq.alloc_store(12);
+        lsq.squash_younger(10);
+        let c = lsq.alloc_store(13);
+        assert_eq!(c, b, "the dropped id is reused");
+        lsq.resolve_store(c, 0x40, 9, 8);
+        assert_eq!(lsq.commit_store(a).unwrap().seq, 10);
+        let s = lsq.commit_store(c).unwrap();
+        assert_eq!((s.seq, s.addr, s.data), (13, Some(0x40), 9));
+        assert!(lsq.is_idle());
+    }
+
+    #[test]
+    fn only_a_blocker_with_parked_loads_wakes_them() {
+        let mut lsq = Lsq::new(4, 4);
+        let a = lsq.alloc_store(10);
+        let b = lsq.alloc_store(12);
+        let LoadCheck::Wait(blocker) = lsq.check_load(13, 0x100, 8) else { panic!("must wait") };
+        assert_eq!(blocker, Blocker::Unresolved(b));
+        lsq.park(blocker);
+        lsq.resolve_store(a, 0x100, 1, 8);
+        assert!(!lsq.take_woken(), "nobody waits on the older store");
+        lsq.resolve_store(b, 0x104, 2, 4);
+        assert!(lsq.take_woken());
+        assert!(!lsq.take_woken(), "taking the flag clears it");
+        lsq.unpark(blocker);
+        let LoadCheck::Wait(blocker) = lsq.check_load(13, 0x100, 8) else { panic!("must wait") };
+        lsq.park(blocker);
+        lsq.commit_store(a).unwrap();
+        assert!(!lsq.take_woken());
+        lsq.commit_store(b).unwrap();
+        assert!(lsq.take_woken(), "the overlapping store committed");
     }
 }

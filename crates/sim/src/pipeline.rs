@@ -18,8 +18,7 @@
 //! * **squash** — jbTable entries of squashed sJMPs are removed
 //!   newest-first.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use sempe_core::trace::{CacheLevel, ObservationTrace, TraceEvent};
@@ -34,12 +33,13 @@ use sempe_isa::reg::{Reg, NUM_ARCH_REGS};
 use sempe_isa::semantics::{self, access_width, branch_taken, eval_op, IntFault};
 use sempe_isa::{Addr, DecodeError, ExecError};
 
-use crate::bpred::{BranchPredictor, RasSnapshot};
+use crate::bpred::{BranchPredictor, RasCheckpoints, RasHandle};
 use crate::cache::MemHierarchy;
-use crate::config::{Roi, SecurityMode, SimConfig, Stepping};
-use crate::lsq::{LoadCheck, Lsq};
-use crate::rename::{PhysReg, RenameState};
-use crate::rob::{Rob, RobEntry, RobSlot};
+use crate::calendar::{Calendar, Event};
+use crate::config::{LatencyConfig, Roi, SecurityMode, SimConfig, Stepping};
+use crate::lsq::{Blocker, LoadCheck, Lsq};
+use crate::rename::{PhysReg, RatCheckpoint, RenameState};
+use crate::rob::{Rob, RobEntry, RobSlot, Writeback};
 use crate::skip::Wake;
 use crate::stats::{SimResult, SimStats};
 
@@ -146,7 +146,7 @@ struct FrontendEntry {
     pred_taken: bool,
     pred_target: Addr,
     ghr_before: u64,
-    ras_snapshot: Option<RasSnapshot>,
+    ras: Option<RasHandle>,
 }
 
 /// Why fetch is parked.
@@ -181,75 +181,47 @@ enum RenameGate {
     NestingFault,
 }
 
-#[derive(Debug, Clone)]
-struct IqEntry {
-    seq: u64,
-    slot: RobSlot,
-    rs1: Option<PhysReg>,
-    rs2: Option<PhysReg>,
-    old_dest: Option<PhysReg>,
-}
-
-/// One slab slot of the issue queues.
+/// One issue-queue entry, kept at its µop's ROB slot: a µop waits in
+/// the issue queue at most once, between rename and issue.
 ///
 /// The issue stage is wakeup/select, like the hardware it models: an
 /// entry carries a count of still-pending source registers, writebacks
-/// decrement it through per-register waiter lists, and entries whose
-/// count hits zero enter a ready list. Selection then only looks at
-/// ready entries instead of scanning every queued µop every cycle.
-#[derive(Debug, Clone)]
-struct IqSlot {
-    class: IqClass,
+/// decrement it through per-register waiter lists, and an entry whose
+/// count hits zero sets its slot's bit in the ready mask. Selection walks
+/// that mask from the ROB head — oldest first — instead of scanning
+/// every queued µop every cycle.
+#[derive(Debug, Clone, Copy)]
+struct IqEntry {
+    seq: u64,
+    rs1: Option<PhysReg>,
+    rs2: Option<PhysReg>,
+    old_dest: Option<PhysReg>,
     /// Source registers still awaiting writeback.
     pending: u8,
-    /// Slot currently holds a live entry.
+    class: IqClass,
+    /// The slot holds a waiting µop.
     active: bool,
-    entry: IqEntry,
 }
 
-/// A scheduled writeback/resolution, ordered by `(cycle, seq)` so the
-/// completion queue (a min-heap) pops events in exactly the order the
-/// old scan-and-sort implementation processed them.
-#[derive(Debug, Clone)]
-struct Completion {
-    cycle: u64,
+impl IqEntry {
+    const EMPTY: IqEntry = IqEntry {
+        seq: 0,
+        rs1: None,
+        rs2: None,
+        old_dest: None,
+        pending: 0,
+        class: IqClass::Int,
+        active: false,
+    };
+}
+
+/// A load parked on a [`LoadCheck::Wait`] verdict until its blocker
+/// settles (see [`crate::lsq`]).
+#[derive(Debug, Clone, Copy)]
+struct ParkedLoad {
     seq: u64,
     slot: RobSlot,
-    kind: CompletionKind,
-}
-
-impl PartialEq for Completion {
-    fn eq(&self, other: &Self) -> bool {
-        self.cycle == other.cycle && self.seq == other.seq
-    }
-}
-
-impl Eq for Completion {}
-
-impl PartialOrd for Completion {
-    fn partial_cmp(&self, other: &Self) -> Option<core::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Completion {
-    fn cmp(&self, other: &Self) -> core::cmp::Ordering {
-        (self.cycle, self.seq).cmp(&(other.cycle, other.seq))
-    }
-}
-
-#[derive(Debug, Clone)]
-enum CompletionKind {
-    /// Plain writeback.
-    Write { phys: PhysReg, value: u64 },
-    /// Writeback of a load (also releases its LQ slot).
-    LoadDone { phys: PhysReg, value: u64 },
-    /// Store AGU done: publish address/data to the store queue.
-    StoreResolve { id: u64, addr: Addr, data: u64, width: u8 },
-    /// Branch resolution (may write a return address first).
-    BranchResolve { write: Option<(PhysReg, u64)> },
-    /// Completion with no effect (faulted op placeholder).
-    Nothing,
+    blocker: Blocker,
 }
 
 /// Host-time attribution of one simulator's work: where the *host's*
@@ -392,30 +364,31 @@ pub struct Simulator {
     // Back end.
     rename: RenameState,
     rob: Rob,
-    /// Issue-queue slab (both classes share it; see [`IqSlot`]).
-    iq_slots: Vec<IqSlot>,
-    /// Free slab indices.
-    iq_free: Vec<u32>,
-    /// Ready entries per class, as `(slab index, seq)` records; a record
-    /// is live while the slot is active and the seq still matches.
-    iq_ready_int: Vec<(u32, u64)>,
-    iq_ready_fp: Vec<(u32, u64)>,
+    /// Issue-queue entries by ROB slot; both classes share it (see
+    /// [`IqEntry`]).
+    iq: Vec<IqEntry>,
+    /// Bit `slot` is set iff `iq[slot]` is active with no pending source.
+    iq_ready: Vec<u64>,
     /// Occupancy per class (structural-hazard gating at rename).
     iq_count_int: usize,
     iq_count_fp: usize,
-    /// Per physical register: `(slab index, seq)` of entries waiting on
+    /// Per physical register: `(ROB slot, seq)` of entries waiting on
     /// its writeback. Stale records are dropped at wake time.
     reg_waiters: Vec<Vec<(u32, u64)>>,
     lsq: Lsq,
-    /// Pending completions, a min-heap keyed by `(cycle, seq)`: the
-    /// complete stage pops only what is due instead of scanning (and
-    /// reallocating) the whole in-flight set every cycle.
-    events: BinaryHeap<Reverse<Completion>>,
-    replay: Vec<(u64, RobSlot)>,
-    /// Store-queue version at the last replay pass: a waiting load's
-    /// verdict can only change when the store queue changes, so replay
-    /// passes against an unchanged queue are skipped wholesale.
+    /// Pending completions by due cycle: the complete stage takes only
+    /// what is due, and each event's payload waits in its ROB entry.
+    events: Calendar,
+    /// Loads parked on a store, in the order they parked.
+    replay: Vec<ParkedLoad>,
+    /// Store-queue version at the last replay pass. A pass runs on every
+    /// cycle the queue changed while loads are parked, but re-checks only
+    /// the loads whose blocker settled.
     replay_lsq_version: u64,
+    /// RAT checkpoint of each ROB slot's branch, for squash recovery.
+    rat_checkpoints: Vec<RatCheckpoint>,
+    /// RAS snapshots of the in-flight branches, taken at fetch.
+    ras_checkpoints: RasCheckpoints,
     rename_blocked_on: Option<u64>,
     rename_stall_until: u64,
     /// The integer divider is a single non-pipelined unit.
@@ -463,9 +436,7 @@ pub struct Simulator {
     host: HostProfile,
 
     // Reusable scratch buffers: the per-cycle stages must not allocate.
-    due_scratch: Vec<Completion>,
-    issue_candidates: Vec<(u64, u32)>,
-    replay_scratch: Vec<(u64, RobSlot)>,
+    due_scratch: Vec<Event>,
 }
 
 impl Simulator {
@@ -505,17 +476,17 @@ impl Simulator {
                 &arch_regs,
             ),
             rob: Rob::new(config.core.rob_entries),
-            iq_slots: Vec::new(),
-            iq_free: Vec::new(),
-            iq_ready_int: Vec::new(),
-            iq_ready_fp: Vec::new(),
+            iq: vec![IqEntry::EMPTY; config.core.rob_entries],
+            iq_ready: vec![0; config.core.rob_entries.div_ceil(64)],
             iq_count_int: 0,
             iq_count_fp: 0,
             reg_waiters: vec![Vec::new(); config.core.int_phys_regs + config.core.fp_phys_regs],
             lsq: Lsq::new(config.core.lq_entries, config.core.sq_entries),
-            events: BinaryHeap::with_capacity(config.core.rob_entries),
+            events: Calendar::new(),
             replay: Vec::new(),
             replay_lsq_version: 0,
+            rat_checkpoints: Vec::new(),
+            ras_checkpoints: RasCheckpoints::default(),
             rename_blocked_on: None,
             rename_stall_until: 0,
             int_div_busy_until: 0,
@@ -533,12 +504,22 @@ impl Simulator {
             skips: 0,
             host: HostProfile::default(),
             due_scratch: Vec::new(),
-            issue_candidates: Vec::new(),
-            replay_scratch: Vec::new(),
             config,
         };
         sim.host.decode_ns = elapsed_ns(build_start);
         Ok(sim)
+    }
+
+    /// Size the branch checkpoint arrays for the configuration. Done at
+    /// the start of a run rather than at construction, so a rebuild
+    /// reuses the previous program's arrays instead of allocating (and
+    /// zeroing) fresh ones: one RAT checkpoint per ROB slot, and one RAS
+    /// snapshot per branch in the ROB or the frontend queue at most.
+    fn size_branch_checkpoints(&mut self) {
+        let core = self.config.core;
+        self.rat_checkpoints.resize(core.rob_entries, [0; NUM_ARCH_REGS]);
+        self.ras_checkpoints
+            .ensure(core.rob_entries + core.frontend_queue, self.config.bpred.ras_depth);
     }
 
     /// Rebuild this simulator in place for a new program and
@@ -548,8 +529,9 @@ impl Simulator {
     /// — every recycled collection starts a run empty, so only spare
     /// capacity carries over, never state — but a long-lived worker (the
     /// evaluation service keeps one simulator arena per worker thread)
-    /// skips re-growing the issue-queue slab, wakeup lists, completion
-    /// heap, and stage scratch buffers on every job.
+    /// skips re-growing the wakeup lists, completion
+    /// calendar, branch checkpoint arrays, and stage scratch buffers on
+    /// every job.
     ///
     /// # Errors
     ///
@@ -557,16 +539,6 @@ impl Simulator {
     /// configured front end; `self` is left untouched in that case.
     pub fn rebuild(&mut self, prog: &Program, config: SimConfig) -> Result<(), SimError> {
         let mut fresh = Self::new(prog, config)?;
-        let recycle = |dst: &mut Vec<(u32, u64)>, src: &mut Vec<(u32, u64)>| {
-            src.clear();
-            core::mem::swap(dst, src);
-        };
-        recycle(&mut fresh.iq_ready_int, &mut self.iq_ready_int);
-        recycle(&mut fresh.iq_ready_fp, &mut self.iq_ready_fp);
-        self.iq_slots.clear();
-        core::mem::swap(&mut fresh.iq_slots, &mut self.iq_slots);
-        self.iq_free.clear();
-        core::mem::swap(&mut fresh.iq_free, &mut self.iq_free);
         self.frontend.clear();
         core::mem::swap(&mut fresh.frontend, &mut self.frontend);
         self.replay.clear();
@@ -575,14 +547,11 @@ impl Simulator {
         core::mem::swap(&mut fresh.roi_spans, &mut self.roi_spans);
         self.due_scratch.clear();
         core::mem::swap(&mut fresh.due_scratch, &mut self.due_scratch);
-        self.issue_candidates.clear();
-        core::mem::swap(&mut fresh.issue_candidates, &mut self.issue_candidates);
-        self.replay_scratch.clear();
-        core::mem::swap(&mut fresh.replay_scratch, &mut self.replay_scratch);
         self.events.clear();
-        if self.events.capacity() >= fresh.events.capacity() {
-            core::mem::swap(&mut fresh.events, &mut self.events);
-        }
+        core::mem::swap(&mut fresh.events, &mut self.events);
+        self.ras_checkpoints.clear();
+        core::mem::swap(&mut fresh.ras_checkpoints, &mut self.ras_checkpoints);
+        core::mem::swap(&mut fresh.rat_checkpoints, &mut self.rat_checkpoints);
         if self.reg_waiters.len() == fresh.reg_waiters.len() {
             for w in &mut self.reg_waiters {
                 w.clear();
@@ -688,7 +657,8 @@ impl Simulator {
     /// simulator is synchronized with `cp`'s snapshot — always the case
     /// in a restore-patch-run loop — and a full image copy otherwise,
     /// which still skips the decode). Transient structures (frontend,
-    /// ROB, issue queues, completion heap, LSQ) were empty at checkpoint
+    /// ROB, issue queues, completion calendar, LSQ, branch checkpoints)
+    /// were empty at checkpoint
     /// time by the quiesce gate, so they reset in place, keeping their
     /// allocations. A run after `restore_from` is cycle-for-cycle,
     /// event-for-event identical to a run of a freshly built simulator
@@ -728,10 +698,10 @@ impl Simulator {
         // Transient state: empty at the checkpoint, so reset in place.
         self.frontend.clear();
         self.rob.reset(cp.config.core.rob_entries);
-        self.iq_slots.clear();
-        self.iq_free.clear();
-        self.iq_ready_int.clear();
-        self.iq_ready_fp.clear();
+        self.iq.clear();
+        self.iq.resize(cp.config.core.rob_entries, IqEntry::EMPTY);
+        self.iq_ready.clear();
+        self.iq_ready.resize(cp.config.core.rob_entries.div_ceil(64), 0);
         self.iq_count_int = 0;
         self.iq_count_fp = 0;
         let total_phys = cp.config.core.int_phys_regs + cp.config.core.fp_phys_regs;
@@ -744,10 +714,9 @@ impl Simulator {
         self.replay_lsq_version = 0;
         self.events.clear();
         self.replay.clear();
+        self.ras_checkpoints.clear();
         self.rename_blocked_on = None;
         self.due_scratch.clear();
-        self.issue_candidates.clear();
-        self.replay_scratch.clear();
         // The host ledger accumulates across restores (one request =
         // many trials); only rebuild/take reset it.
         self.host.restore_ns += elapsed_ns(restore_start);
@@ -776,17 +745,17 @@ impl Simulator {
             bp: cp.bp.clone(),
             rename: cp.rename.clone(),
             rob: Rob::new(config.core.rob_entries),
-            iq_slots: Vec::new(),
-            iq_free: Vec::new(),
-            iq_ready_int: Vec::new(),
-            iq_ready_fp: Vec::new(),
+            iq: vec![IqEntry::EMPTY; config.core.rob_entries],
+            iq_ready: vec![0; config.core.rob_entries.div_ceil(64)],
             iq_count_int: 0,
             iq_count_fp: 0,
             reg_waiters: vec![Vec::new(); config.core.int_phys_regs + config.core.fp_phys_regs],
             lsq: Lsq::new(config.core.lq_entries, config.core.sq_entries),
-            events: BinaryHeap::with_capacity(config.core.rob_entries),
+            events: Calendar::new(),
             replay: Vec::new(),
             replay_lsq_version: 0,
+            rat_checkpoints: Vec::new(),
+            ras_checkpoints: RasCheckpoints::default(),
             rename_blocked_on: None,
             rename_stall_until: 0,
             int_div_busy_until: 0,
@@ -804,8 +773,6 @@ impl Simulator {
             skips: 0,
             host: HostProfile::default(),
             due_scratch: Vec::new(),
-            issue_candidates: Vec::new(),
-            replay_scratch: Vec::new(),
         };
         sim.restore_from(cp);
         sim
@@ -944,6 +911,7 @@ impl Simulator {
         deadline: Option<std::time::Instant>,
     ) -> Result<SimResult, SimError> {
         let run_start = std::time::Instant::now();
+        self.size_branch_checkpoints();
         let result = self.run_loop(max_cycles, deadline);
         self.host.run_ns += elapsed_ns(run_start);
         self.host.runs += 1;
@@ -1145,31 +1113,34 @@ impl Simulator {
         }
     }
 
-    /// Next-event report of the completion min-heap.
+    /// Next-event report of the completion calendar.
     fn events_wake(&self) -> Wake {
-        match self.events.peek() {
+        match self.events.next_due(self.cycle) {
             None => Wake::Idle,
-            Some(Reverse(e)) if e.cycle <= self.cycle => Wake::Now,
-            Some(Reverse(e)) => Wake::At(e.cycle),
+            Some(due) if due <= self.cycle => Wake::Now,
+            Some(due) => Wake::At(due),
         }
     }
 
     /// Next-event report of the issue stage: any woken entry can issue
-    /// this cycle. Conservative — a ready list holding only entries
-    /// blocked on a busy divider (or stale post-squash records, pruned
-    /// by the next issue pass) also reports [`Wake::Now`]; those spans
+    /// this cycle. Conservative — a ready mask holding only entries
+    /// blocked on a busy divider also reports [`Wake::Now`]; those spans
     /// are short and simply fall back to classic stepping.
     fn issue_wake(&self) -> Wake {
-        if self.iq_ready_int.is_empty() && self.iq_ready_fp.is_empty() {
-            Wake::Idle
-        } else {
+        if self.any_ready() {
             Wake::Now
+        } else {
+            Wake::Idle
         }
     }
 
-    /// Next-event report of the load-replay machinery: waiting loads
-    /// re-check only when the store queue has changed since their last
-    /// verdict.
+    fn any_ready(&self) -> bool {
+        self.iq_ready.iter().any(|&w| w != 0)
+    }
+
+    /// Next-event report of the load-replay machinery: a replay pass is
+    /// due when the store queue has changed since the last one while
+    /// loads are parked.
     fn replay_wake(&self) -> Wake {
         if self.replay.is_empty() {
             Wake::Idle
@@ -1301,7 +1272,7 @@ impl Simulator {
                 pred_taken: false,
                 pred_target: 0,
                 ghr_before: self.bp.ghr(),
-                ras_snapshot: None,
+                ras: None,
             };
 
             let mut next_pc = next_seq;
@@ -1317,7 +1288,7 @@ impl Simulator {
                         fe.pred_taken = taken;
                         fe.ghr_before = ghr_before;
                         fe.pred_target = if taken { inst.branch_target(pc, len) } else { next_seq };
-                        fe.ras_snapshot = Some(self.bp.ras_snapshot());
+                        fe.ras = Some(self.ras_checkpoints.take(self.bp.ras()));
                         if taken {
                             next_pc = fe.pred_target;
                             end_group = true;
@@ -1344,7 +1315,7 @@ impl Simulator {
                         }
                     };
                     fe.pred_target = predicted;
-                    fe.ras_snapshot = Some(self.bp.ras_snapshot());
+                    fe.ras = Some(self.ras_checkpoints.take(self.bp.ras()));
                     next_pc = predicted;
                     end_group = true;
                 }
@@ -1385,6 +1356,7 @@ impl Simulator {
     /// source of truth for the rename stage's structural hazards, shared
     /// by `rename_stage` (which acts on it) and `rename_wake` (which
     /// reports quiescence from it) so the two can never disagree.
+    #[inline]
     fn rename_gate(&self, inst: &Inst) -> RenameGate {
         if self.rob.is_full() {
             return RenameGate::Blocked;
@@ -1454,7 +1426,7 @@ impl Simulator {
             entry.pred_taken = fe.pred_taken;
             entry.pred_target = fe.pred_target;
             entry.ghr_before = fe.ghr_before;
-            entry.ras_snapshot = fe.ras_snapshot;
+            entry.ras = fe.ras;
 
             // Sources resolve against the pre-rename RAT.
             let srcs = inst.sources();
@@ -1471,17 +1443,10 @@ impl Simulator {
                 entry.old_phys = Some(old);
             }
             if inst.op.is_store() {
-                entry.store_id = Some(self.lsq.alloc_store(fe.seq));
+                entry.store_id = self.lsq.alloc_store(fe.seq);
             }
             if inst.op.is_load() {
                 self.lsq.alloc_load();
-            }
-            // Squash-recovery checkpoints for everything that can
-            // mispredict.
-            let can_mispredict =
-                (inst.op.is_cond_branch() && !is_sjmp_active) || inst.op == Opcode::Jalr;
-            if can_mispredict {
-                entry.rat_checkpoint = Some(Box::new(self.rename.checkpoint()));
             }
             if is_sjmp_active {
                 self.unit.on_sjmp_issue()?;
@@ -1494,9 +1459,13 @@ impl Simulator {
             }
             let seq = entry.seq;
             let slot = self.rob.push(entry).expect("gated above");
+            // Squash-recovery checkpoint for everything that can
+            // mispredict.
+            if (inst.op.is_cond_branch() && !is_sjmp_active) || inst.op == Opcode::Jalr {
+                self.rat_checkpoints[slot] = self.rename.checkpoint();
+            }
             if needs_iq {
-                let iq_entry = IqEntry { seq, slot, rs1, rs2, old_dest };
-                self.iq_insert(Self::iq_class(&inst), iq_entry);
+                self.iq_insert(slot, seq, Self::iq_class(&inst), [rs1, rs2, old_dest]);
             }
             self.stats.renamed += 1;
 
@@ -1514,8 +1483,7 @@ impl Simulator {
 
     // ------------------------------------------------------------ issue
 
-    fn op_latency(&self, op: Opcode) -> u64 {
-        let l = &self.config.lat;
+    fn op_latency(l: &LatencyConfig, op: Opcode) -> u64 {
         match op {
             Opcode::Mul => l.mul,
             Opcode::Div | Opcode::Rem | Opcode::Divu | Opcode::Remu => l.div,
@@ -1534,40 +1502,30 @@ impl Simulator {
         [e.rs1, e.rs2, e.old_dest].iter().flatten().all(|p| self.rename.is_ready(*p))
     }
 
-    /// Insert a renamed µop into the issue queues, registering wakeup
-    /// records for every source register that is not yet ready.
-    fn iq_insert(&mut self, class: IqClass, entry: IqEntry) {
-        let seq = entry.seq;
-        let srcs = [entry.rs1, entry.rs2, entry.old_dest];
-        let slot = IqSlot { class, pending: 0, active: true, entry };
-        let idx = match self.iq_free.pop() {
-            Some(i) => {
-                self.iq_slots[i as usize] = slot;
-                i
-            }
-            None => {
-                self.iq_slots.push(slot);
-                u32::try_from(self.iq_slots.len() - 1).expect("slab fits u32")
-            }
-        };
+    /// Insert a renamed µop into the issue queue at its ROB slot,
+    /// registering wakeup records for every source register that is not
+    /// yet ready. `srcs` are `rs1`, `rs2` and the old destination.
+    fn iq_insert(&mut self, slot: RobSlot, seq: u64, class: IqClass, srcs: [Option<PhysReg>; 3]) {
         let mut pending = 0u8;
         for p in srcs.into_iter().flatten() {
             if !self.rename.is_ready(p) {
                 pending += 1;
-                self.reg_waiters[p as usize].push((idx, seq));
+                self.reg_waiters[p as usize].push((slot as u32, seq));
             }
         }
-        self.iq_slots[idx as usize].pending = pending;
+        let [rs1, rs2, old_dest] = srcs;
+        self.iq[slot] = IqEntry { seq, rs1, rs2, old_dest, pending, class, active: true };
         match class {
             IqClass::Int => self.iq_count_int += 1,
             IqClass::Fp => self.iq_count_fp += 1,
         }
         if pending == 0 {
-            match class {
-                IqClass::Int => self.iq_ready_int.push((idx, seq)),
-                IqClass::Fp => self.iq_ready_fp.push((idx, seq)),
-            }
+            self.set_ready(slot);
         }
+    }
+
+    fn set_ready(&mut self, slot: RobSlot) {
+        self.iq_ready[slot / 64] |= 1 << (slot % 64);
     }
 
     /// A physical register was written back: wake the µops waiting on it.
@@ -1576,202 +1534,165 @@ impl Simulator {
             return;
         }
         let mut list = std::mem::take(&mut self.reg_waiters[p as usize]);
-        for (idx, seq) in list.drain(..) {
-            let slot = &mut self.iq_slots[idx as usize];
-            if !slot.active || slot.entry.seq != seq {
+        for (slot, seq) in list.drain(..) {
+            let e = &mut self.iq[slot as usize];
+            if !e.active || e.seq != seq {
                 continue; // squashed (and possibly reused) since it slept
             }
-            slot.pending -= 1;
-            if slot.pending == 0 {
-                match slot.class {
-                    IqClass::Int => self.iq_ready_int.push((idx, seq)),
-                    IqClass::Fp => self.iq_ready_fp.push((idx, seq)),
-                }
+            e.pending -= 1;
+            if e.pending == 0 {
+                self.set_ready(slot as RobSlot);
             }
         }
         // Hand the (empty) buffer back so its capacity is reused.
         self.reg_waiters[p as usize] = list;
     }
 
-    /// Release an issue-queue slot (issue or squash).
-    fn iq_release(&mut self, idx: u32) {
-        let slot = &mut self.iq_slots[idx as usize];
-        debug_assert!(slot.active);
-        slot.active = false;
-        match slot.class {
+    /// Release an issue-queue entry (issue or squash).
+    fn iq_release(&mut self, slot: RobSlot) {
+        let e = &mut self.iq[slot];
+        debug_assert!(e.active);
+        e.active = false;
+        match e.class {
             IqClass::Int => self.iq_count_int -= 1,
             IqClass::Fp => self.iq_count_fp -= 1,
         }
-        self.iq_free.push(idx);
+        self.iq_ready[slot / 64] &= !(1 << (slot % 64));
     }
 
+    /// Select among the ready entries only, oldest first: ROB slots from
+    /// the head round to the tail, the same order as sorting by `seq`.
     fn issue_stage(&mut self) {
-        if self.iq_ready_int.is_empty() && self.iq_ready_fp.is_empty() {
+        if !self.any_ready() {
             return;
         }
-        // Select among the ready entries only, oldest first — the same
-        // candidate set the old full-queue scan produced, assembled in a
-        // reusable scratch buffer.
-        let mut candidates = std::mem::take(&mut self.issue_candidates);
-        candidates.clear();
-        for &(idx, seq) in self.iq_ready_int.iter().chain(&self.iq_ready_fp) {
-            let slot = &self.iq_slots[idx as usize];
-            if slot.active && slot.entry.seq == seq {
-                debug_assert!(self.entry_ready(&slot.entry), "ready list out of sync");
-                candidates.push((seq, idx));
-            }
-        }
-        candidates.sort_unstable_by_key(|(seq, _)| *seq);
-
+        let (cap, head) = (self.rob.capacity(), self.rob.head_slot());
         let mut issued_total = 0usize;
         let mut issued_loads = 0usize;
-        for &(seq, idx) in &candidates {
-            if issued_total >= self.config.core.issue_width {
-                break;
-            }
-            let entry = &self.iq_slots[idx as usize].entry;
-            let Some(rob_entry) = self.rob.get(entry.slot) else { continue };
-            if rob_entry.seq != seq {
-                continue;
-            }
-            if rob_entry.inst.op.is_load() {
-                if issued_loads >= self.config.core.load_issue_width {
-                    continue;
+        for (lo, hi) in [(head, cap), (0, head)] {
+            let mut base = lo - lo % 64;
+            while base < hi {
+                let mut bits = self.iq_ready[base / 64];
+                if base < lo {
+                    bits &= !0 << (lo - base);
                 }
-                issued_loads += 1;
-            }
-            // Dividers are single, non-pipelined units (structural
-            // hazard): one op occupies the unit for its full latency.
-            match rob_entry.inst.op {
-                Opcode::Div | Opcode::Rem | Opcode::Divu | Opcode::Remu => {
-                    if self.cycle < self.int_div_busy_until {
-                        continue;
+                if hi - base < 64 {
+                    bits &= (1 << (hi - base)) - 1;
+                }
+                while bits != 0 {
+                    if issued_total >= self.config.core.issue_width {
+                        return;
                     }
-                    self.int_div_busy_until = self.cycle + self.config.lat.div;
-                }
-                Opcode::Fdiv => {
-                    if self.cycle < self.fp_div_busy_until {
-                        continue;
+                    let slot = base + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    if self.try_issue(slot, &mut issued_loads) {
+                        issued_total += 1;
                     }
-                    self.fp_div_busy_until = self.cycle + self.config.lat.fp_div;
                 }
-                _ => {}
+                base += 64;
             }
-            let iq_entry = entry.clone();
-            self.execute_uop(&iq_entry);
-            self.iq_release(idx);
-            issued_total += 1;
-            self.stats.issued += 1;
         }
-        // Drop consumed/stale ready records (issued or squashed slots).
-        let slots = &self.iq_slots;
-        let live = |&(idx, seq): &(u32, u64)| {
-            let s = &slots[idx as usize];
-            s.active && s.entry.seq == seq
-        };
-        self.iq_ready_int.retain(live);
-        self.iq_ready_fp.retain(live);
-        self.issue_candidates = candidates;
     }
 
-    /// Enqueue a completion. Events are scheduled by stages that run
-    /// *after* the complete stage within a tick, so the earliest a new
-    /// event can fire is the next cycle — clamping keeps that invariant
-    /// explicit (and preserves the old scan semantics for hypothetical
-    /// zero-latency configurations).
-    fn schedule(&mut self, mut ev: Completion) {
-        ev.cycle = ev.cycle.max(self.cycle + 1);
-        self.events.push(Reverse(ev));
+    /// Issue the ready µop at `slot` unless a structural hazard holds it
+    /// back this cycle.
+    fn try_issue(&mut self, slot: RobSlot, issued_loads: &mut usize) -> bool {
+        let iq = self.iq[slot];
+        debug_assert!(iq.active && self.entry_ready(&iq), "ready mask out of sync");
+        let op = self.rob.get(slot).expect("queued µop is live").inst.op;
+        if op.is_load() {
+            if *issued_loads >= self.config.core.load_issue_width {
+                return false;
+            }
+            *issued_loads += 1;
+        }
+        // Dividers are single, non-pipelined units (structural
+        // hazard): one op occupies the unit for its full latency.
+        match op {
+            Opcode::Div | Opcode::Rem | Opcode::Divu | Opcode::Remu => {
+                if self.cycle < self.int_div_busy_until {
+                    return false;
+                }
+                self.int_div_busy_until = self.cycle + self.config.lat.div;
+            }
+            Opcode::Fdiv => {
+                if self.cycle < self.fp_div_busy_until {
+                    return false;
+                }
+                self.fp_div_busy_until = self.cycle + self.config.lat.fp_div;
+            }
+            _ => {}
+        }
+        self.execute_uop(slot, &iq);
+        self.iq_release(slot);
+        self.stats.issued += 1;
+        true
     }
 
-    /// Begin execution of one µop: compute functionally, schedule its
-    /// completion.
-    fn execute_uop(&mut self, iq: &IqEntry) {
+    /// Schedule the completion of the µop in `slot` for `cycle`; its
+    /// payload (`wb`, `result`) is already in the ROB entry. Events are
+    /// scheduled by stages that run *after* the complete stage within a
+    /// tick, so the earliest a new event can fire is the next cycle —
+    /// clamping keeps that invariant explicit (and preserves the old scan
+    /// semantics for hypothetical zero-latency configurations).
+    fn schedule(&mut self, seq: u64, slot: RobSlot, cycle: u64) {
+        let due = cycle.max(self.cycle + 1);
+        self.events.push(self.cycle, due, Event::new(seq, slot));
+    }
+
+    /// Begin execution of one µop: compute functionally, record the
+    /// completion's payload in its ROB entry, and schedule it.
+    fn execute_uop(&mut self, slot: RobSlot, iq: &IqEntry) {
         let read = |p: Option<PhysReg>| p.map_or(0, |p| self.rename.value(p));
         let v1 = read(iq.rs1);
         let v2 = read(iq.rs2);
         let vold = read(iq.old_dest);
-        let Some(entry) = self.rob.get(iq.slot) else { return };
-        let inst = entry.inst;
-        let pc = entry.pc;
-        let len = entry.len as usize;
-        let next_pc = entry.next_pc();
-        let phys_dest = entry.phys_dest;
-        let store_id = entry.store_id;
         let seq = iq.seq;
-        let slot = iq.slot;
-        let lat = self.op_latency(inst.op);
+        let agu = self.config.lat.agu;
+        let Some(e) = self.rob.get_checked(slot, seq) else { return };
+        let inst = e.inst;
+        let len = e.len as usize;
+        let next_pc = e.next_pc();
+        let lat = Self::op_latency(&self.config.lat, inst.op);
 
-        match inst.op {
+        let latency = match inst.op {
             op if op.is_load() => {
-                let addr = v1.wrapping_add(inst.imm as u64);
-                if let Some(e) = self.rob.get_checked(slot, seq) {
-                    e.mem_addr = addr;
-                }
-                self.start_load(seq, slot, pc, addr, inst, phys_dest, self.config.lat.agu);
+                e.mem_addr = v1.wrapping_add(inst.imm as u64);
+                None
             }
             op if op.is_store() => {
-                let addr = v1.wrapping_add(inst.imm as u64);
-                let width = access_width(op);
-                if let Some(e) = self.rob.get_checked(slot, seq) {
-                    e.mem_addr = addr;
-                }
-                self.schedule(Completion {
-                    cycle: self.cycle + self.config.lat.agu,
-                    seq,
-                    slot,
-                    kind: CompletionKind::StoreResolve {
-                        id: store_id.expect("stores carry an id"),
-                        addr,
-                        data: v2,
-                        width,
-                    },
-                });
+                e.mem_addr = v1.wrapping_add(inst.imm as u64);
+                e.result = v2;
+                e.wb = Writeback::Store;
+                Some(agu)
             }
             op if op.is_cond_branch() => {
                 let taken = branch_taken(op, v1, v2);
-                let target = inst.branch_target(pc, len);
-                let actual_target = if taken { target } else { next_pc };
-                if let Some(e) = self.rob.get_checked(slot, seq) {
-                    e.actual_taken = taken;
-                    // For an sJMP the jbTable consumes the *taken-path*
-                    // entry address whatever the outcome.
-                    e.actual_target = if e.is_sjmp { target } else { actual_target };
-                    e.mispredicted = !e.is_sjmp && taken != e.pred_taken;
-                }
-                self.schedule(Completion {
-                    cycle: self.cycle + lat,
-                    seq,
-                    slot,
-                    kind: CompletionKind::BranchResolve { write: None },
-                });
+                let target = inst.branch_target(e.pc, len);
+                e.actual_taken = taken;
+                // For an sJMP the jbTable consumes the *taken-path* entry
+                // address whatever the outcome.
+                e.actual_target = if e.is_sjmp || taken { target } else { next_pc };
+                e.mispredicted = !e.is_sjmp && taken != e.pred_taken;
+                e.wb = Writeback::Branch;
+                Some(lat)
             }
             Opcode::Jal => {
-                if let Some(e) = self.rob.get_checked(slot, seq) {
-                    e.actual_taken = true;
-                    e.actual_target = inst.branch_target(pc, len);
-                    e.mispredicted = false;
-                }
-                self.schedule(Completion {
-                    cycle: self.cycle + lat,
-                    seq,
-                    slot,
-                    kind: CompletionKind::BranchResolve { write: phys_dest.map(|p| (p, next_pc)) },
-                });
+                e.actual_taken = true;
+                e.actual_target = inst.branch_target(e.pc, len);
+                e.mispredicted = false;
+                e.result = next_pc;
+                e.wb = Writeback::Branch;
+                Some(lat)
             }
             Opcode::Jalr => {
                 let target = v1.wrapping_add(inst.imm as u64);
-                if let Some(e) = self.rob.get_checked(slot, seq) {
-                    e.actual_taken = true;
-                    e.actual_target = target;
-                    e.mispredicted = target != e.pred_target;
-                }
-                self.schedule(Completion {
-                    cycle: self.cycle + lat,
-                    seq,
-                    slot,
-                    kind: CompletionKind::BranchResolve { write: phys_dest.map(|p| (p, next_pc)) },
-                });
+                e.actual_taken = true;
+                e.actual_target = target;
+                e.mispredicted = target != e.pred_target;
+                e.result = next_pc;
+                e.wb = Writeback::Branch;
+                Some(lat)
             }
             _ => {
                 // Computational op.
@@ -1781,175 +1702,125 @@ impl Simulator {
                 };
                 match eval_op(&inst, v1, b, vold) {
                     Ok(value) => {
-                        let kind = match phys_dest {
-                            Some(p) => CompletionKind::Write { phys: p, value },
-                            None => CompletionKind::Nothing,
-                        };
-                        self.schedule(Completion { cycle: self.cycle + lat, seq, slot, kind });
+                        e.result = value;
+                        e.wb = if e.phys_dest.is_some() { Writeback::Reg } else { Writeback::None };
                     }
                     Err(IntFault::DivideByZero) => {
-                        if let Some(e) = self.rob.get_checked(slot, seq) {
-                            e.exception = Some(ExecError::DivideByZero { pc });
-                        }
-                        self.schedule(Completion {
-                            cycle: self.cycle + lat,
-                            seq,
-                            slot,
-                            kind: CompletionKind::Nothing,
-                        });
+                        e.div_fault = true;
+                        e.wb = Writeback::None;
                     }
                 }
+                Some(lat)
             }
+        };
+        match latency {
+            Some(lat) => self.schedule(seq, slot, self.cycle + lat),
+            None => self.start_load(seq, slot, agu),
         }
     }
 
-    /// Run the LSQ check for a load and schedule its completion (or a
-    /// replay).
-    #[allow(clippy::too_many_arguments)] // pipeline-stage plumbing
-    fn start_load(
-        &mut self,
-        seq: u64,
-        slot: RobSlot,
-        pc: Addr,
-        addr: Addr,
-        inst: Inst,
-        phys_dest: Option<PhysReg>,
-        agu: u64,
-    ) {
-        let width = access_width(inst.op);
-        match self.lsq.check_load(seq, addr, width) {
-            LoadCheck::Wait => {
+    /// Run the LSQ check for a load whose address is in its ROB entry:
+    /// schedule its completion, or park it on the store that blocks it.
+    fn start_load(&mut self, seq: u64, slot: RobSlot, agu: u64) {
+        let e = self.rob.get(slot).expect("issuing load is live");
+        let width = access_width(e.inst.op);
+        match self.lsq.check_load(seq, e.mem_addr, width) {
+            LoadCheck::Wait(blocker) => {
                 self.stats.load_replays += 1;
-                self.replay.push((seq, slot));
+                self.lsq.park(blocker);
+                self.replay.push(ParkedLoad { seq, slot, blocker });
             }
-            LoadCheck::Forward(value) => {
-                self.schedule(Completion {
-                    cycle: self.cycle + agu + 1,
-                    seq,
-                    slot,
-                    kind: CompletionKind::LoadDone {
-                        phys: phys_dest.expect("loads have destinations"),
-                        value,
-                    },
-                });
-            }
+            verdict => self.serve_load(seq, slot, verdict, agu),
+        }
+    }
+
+    /// Complete a load whose store-queue verdict is `Forward` or
+    /// `Proceed`: take the forwarded value or read memory through the
+    /// DL1, and schedule the writeback.
+    fn serve_load(&mut self, seq: u64, slot: RobSlot, verdict: LoadCheck, agu: u64) {
+        let e = self.rob.get(slot).expect("served load is live");
+        let (pc, addr, width) = (e.pc, e.mem_addr, access_width(e.inst.op));
+        let (value, latency) = match verdict {
+            LoadCheck::Forward(value) => (value, 1),
             LoadCheck::Proceed => {
                 let value = semantics::load(&self.mem, width, addr);
                 let r = self.hier.data_access(pc, addr, false);
                 self.trace_cache(CacheLevel::Dl1, r);
-                self.schedule(Completion {
-                    cycle: self.cycle + agu + r.latency,
-                    seq,
-                    slot,
-                    kind: CompletionKind::LoadDone {
-                        phys: phys_dest.expect("loads have destinations"),
-                        value,
-                    },
-                });
+                (value, r.latency)
             }
-        }
+            LoadCheck::Wait(_) => unreachable!("waiting loads are parked, not served"),
+        };
+        let e = self.rob.get_checked(slot, seq).expect("served load is live");
+        e.result = value;
+        e.wb = Writeback::Load;
+        self.schedule(seq, slot, self.cycle + agu + latency);
     }
 
+    /// The replay pass. It runs on every cycle the store queue changed
+    /// while loads are parked — the cycles a full rescan of every parked
+    /// load would have run — but re-checks, in park order, only the
+    /// loads whose blocker settled: for every other load the rescan's
+    /// verdict is the same `Wait`. `load_replays` counts what the rescan
+    /// would have: one replay per load still parked after the pass.
     fn replay_loads(&mut self) {
-        if self.replay.is_empty() {
-            return;
-        }
-        // Every waiting load already saw the current store queue and got
-        // `Wait`; until the queue changes, a re-check is guaranteed to
-        // return `Wait` again, so the whole pass can be skipped without
-        // affecting timing.
-        if self.lsq.version() == self.replay_lsq_version {
+        if self.replay.is_empty() || self.lsq.version() == self.replay_lsq_version {
             return;
         }
         self.replay_lsq_version = self.lsq.version();
-        // Swap with the scratch buffer so both vectors keep their
-        // capacity: start_load may push fresh replays while we drain.
-        std::mem::swap(&mut self.replay, &mut self.replay_scratch);
-        let mut pending = std::mem::take(&mut self.replay_scratch);
-        for (seq, slot) in pending.drain(..) {
-            let Some(entry) = self.rob.get(slot) else { continue };
-            if entry.seq != seq {
+        let mut i = 0;
+        let woken = self.lsq.take_woken();
+        while woken && i < self.replay.len() {
+            let p = self.replay[i];
+            if !self.lsq.settled(p.blocker) {
+                i += 1;
                 continue;
             }
-            let inst = entry.inst;
-            let pc = entry.pc;
-            let addr = entry.mem_addr;
-            let phys_dest = entry.phys_dest;
-            // Replays already paid the AGU.
-            self.start_load(seq, slot, pc, addr, inst, phys_dest, 0);
+            self.lsq.unpark(p.blocker);
+            let e = self.rob.get(p.slot).expect("parked load is live");
+            match self.lsq.check_load(p.seq, e.mem_addr, access_width(e.inst.op)) {
+                LoadCheck::Wait(blocker) => {
+                    self.lsq.park(blocker);
+                    self.replay[i].blocker = blocker;
+                    i += 1;
+                }
+                verdict => {
+                    self.replay.remove(i);
+                    // Replays already paid the AGU.
+                    self.serve_load(p.seq, p.slot, verdict, 0);
+                }
+            }
         }
-        self.replay_scratch = pending;
+        self.stats.load_replays += self.replay.len() as u64;
     }
 
     // --------------------------------------------------------- complete
 
     fn complete_stage(&mut self) {
-        let now = self.cycle;
-        // Fast path: nothing due this cycle — one heap peek, no scan.
-        match self.events.peek() {
-            Some(Reverse(e)) if e.cycle <= now => {}
-            _ => return,
-        }
-        // Pop everything due and process it in program (seq) order, the
-        // order the old full-scan implementation used. The heap yields
-        // (cycle, seq)-sorted events, which is seq-sorted only within a
-        // single cycle's batch, so re-sort the (tiny) due set.
+        // Everything due now, in program (seq) order.
         let mut due = std::mem::take(&mut self.due_scratch);
-        due.clear();
-        while let Some(Reverse(e)) = self.events.peek() {
-            if e.cycle > now {
-                break;
-            }
-            due.push(self.events.pop().expect("peeked").0);
-        }
-        due.sort_unstable_by_key(|e| e.seq);
-        for ev in due.drain(..) {
+        self.events.drain_due(self.cycle, &mut due);
+        for ev in &due {
+            let slot = ev.slot as RobSlot;
             // Validate against squashes that happened since scheduling.
-            if self.rob.get_checked(ev.slot, ev.seq).is_none() {
-                if let CompletionKind::LoadDone { .. } = ev.kind {
-                    // The load slot was already released by the squash.
-                }
-                continue;
-            }
-            match ev.kind {
-                CompletionKind::Write { phys, value } => {
-                    self.rename.write(phys, value);
-                    self.wake_reg(phys);
-                    if let Some(e) = self.rob.get_checked(ev.slot, ev.seq) {
-                        e.done = true;
-                    }
-                }
-                CompletionKind::LoadDone { phys, value } => {
-                    self.rename.write(phys, value);
-                    self.wake_reg(phys);
+            let Some(e) = self.rob.get_checked(slot, ev.seq) else { continue };
+            e.done = true;
+            let (phys, result) = (e.phys_dest, e.result);
+            match e.wb {
+                Writeback::None => {}
+                Writeback::Reg => self.writeback(phys, result),
+                Writeback::Load => {
+                    self.writeback(phys, result);
                     self.lsq.release_load();
-                    if let Some(e) = self.rob.get_checked(ev.slot, ev.seq) {
-                        e.done = true;
-                    }
                 }
-                CompletionKind::StoreResolve { id, addr, data, width } => {
-                    self.lsq.resolve_store(id, addr, data, width);
-                    if let Some(e) = self.rob.get_checked(ev.slot, ev.seq) {
-                        e.done = true;
-                    }
+                Writeback::Store => {
+                    let (id, addr, width) = (e.store_id, e.mem_addr, access_width(e.inst.op));
+                    self.lsq.resolve_store(id, addr, result, width);
                 }
-                CompletionKind::BranchResolve { write } => {
-                    if let Some((p, v)) = write {
-                        self.rename.write(p, v);
-                        self.wake_reg(p);
-                    }
-                    let (mispredicted, _actual_taken) = {
-                        let e = self.rob.get_checked(ev.slot, ev.seq).expect("validated above");
-                        e.done = true;
-                        (e.mispredicted, e.actual_taken)
-                    };
+                Writeback::Branch => {
+                    let mispredicted = e.mispredicted;
+                    self.writeback(phys, result);
                     if mispredicted {
-                        self.squash_from(ev.slot, ev.seq);
-                    }
-                }
-                CompletionKind::Nothing => {
-                    if let Some(e) = self.rob.get_checked(ev.slot, ev.seq) {
-                        e.done = true;
+                        self.squash_from(slot, ev.seq);
                     }
                 }
             }
@@ -1957,61 +1828,70 @@ impl Simulator {
         self.due_scratch = due;
     }
 
+    /// Write a produced value back (if the µop has a destination) and
+    /// wake the µops waiting on it.
+    fn writeback(&mut self, phys: Option<PhysReg>, value: u64) {
+        if let Some(p) = phys {
+            self.rename.write(p, value);
+            self.wake_reg(p);
+        }
+    }
+
     /// Squash everything younger than the mispredicting branch in `slot`
     /// and restart fetch down the correct path.
     fn squash_from(&mut self, slot: RobSlot, seq: u64) {
         self.stats.squashes += 1;
-        let (redirect_to, ghr_before, ras, is_cond, actual_taken) = {
-            let e = self.rob.get(slot).expect("squash source exists");
-            debug_assert_eq!(e.seq, seq);
-            (
-                e.actual_target,
-                e.ghr_before,
-                e.ras_snapshot.clone().unwrap_or_default(),
-                e.inst.op.is_cond_branch(),
-                e.actual_taken,
-            )
-        };
-        let removed = self.rob.squash_younger(seq);
-        for dead in &removed {
+        let e = self.rob.get(slot).expect("squash source exists");
+        debug_assert_eq!(e.seq, seq);
+        let (redirect_to, ghr_before, ras, is_cond, actual_taken) =
+            (e.actual_target, e.ghr_before, e.ras, e.inst.op.is_cond_branch(), e.actual_taken);
+        // The squashed snapshots are the youngest in the ring: release
+        // from the oldest of them.
+        let mut oldest_dead_ras = self.frontend.iter().find_map(|fe| fe.ras);
+        while let Some((dead_slot, dead)) = self.rob.pop_younger(seq) {
+            if self.iq[dead_slot].active {
+                self.iq_release(dead_slot);
+            }
             if let Some(p) = dead.phys_dest {
                 self.rename.free(p);
             }
             if dead.inst.op.is_load() && !dead.done {
                 // Its LQ slot is still held iff the load hasn't completed.
-                // Completed loads released at LoadDone; pending replays or
+                // Completed loads released at writeback; parked loads or
                 // in-flight cache accesses still hold a slot.
                 self.lsq.release_load();
             }
             if dead.is_sjmp {
                 self.unit.on_sjmp_squash();
             }
-        }
-        // Restore the RAT from the branch's checkpoint.
-        let cp = {
-            let e = self.rob.get(slot).expect("still present");
-            *e.rat_checkpoint.as_ref().expect("mispredicting ops carry checkpoints").clone()
-        };
-        self.rename.restore(&cp);
-        // Drop queue state belonging to squashed µops. Ready lists and
-        // waiter records referring to released slots invalidate lazily
-        // via their (slot, seq) tags.
-        for idx in 0..self.iq_slots.len() {
-            if self.iq_slots[idx].active && self.iq_slots[idx].entry.seq > seq {
-                self.iq_release(idx as u32);
+            if dead.ras.is_some() {
+                oldest_dead_ras = dead.ras;
             }
         }
-        self.replay.retain(|(s, _)| *s <= seq);
-        // Squashes are rare (once per mispredict); an O(n) heap rebuild
-        // here is cheap next to the per-cycle scan it replaced.
-        self.events.retain(|Reverse(e)| e.seq <= seq);
+        if let Some(h) = oldest_dead_ras {
+            self.ras_checkpoints.release_from(h);
+        }
+        // Restore the RAT from the branch's checkpoint.
+        self.rename.restore(&self.rat_checkpoints[slot]);
+        // Drop queue state belonging to squashed µops. Waiter records
+        // referring to released entries invalidate lazily via their
+        // (slot, seq) tags.
+        for p in &self.replay {
+            if p.seq > seq {
+                self.lsq.unpark(p.blocker);
+            }
+        }
+        self.replay.retain(|p| p.seq <= seq);
+        self.events.squash_younger(seq);
         self.lsq.squash_younger(seq);
         self.frontend.clear();
-        // Predictor recovery.
+        // Predictor recovery. Only a branch fetched with no RAS snapshot
+        // recovers to an empty stack.
+        let snapshot = ras.map_or(&[][..], |h| self.ras_checkpoints.get(h));
         if is_cond {
-            self.bp.recover_cond(ghr_before, actual_taken, &ras);
+            self.bp.recover_cond(ghr_before, actual_taken, snapshot);
         } else {
-            self.bp.recover_indirect(ghr_before, &ras);
+            self.bp.recover_indirect(ghr_before, snapshot);
         }
         // Rename block held by a squashed sJMP dissolves.
         if self.rename_blocked_on.is_some_and(|b| b > seq) {
@@ -2033,7 +1913,8 @@ impl Simulator {
             if !head.done {
                 break;
             }
-            if let Some(fault) = head.exception.clone() {
+            if head.div_fault {
+                let fault = ExecError::DivideByZero { pc: head.pc };
                 // An architectural fault reached commit: in a SecBlock the
                 // paper routes this to the exception handler (§IV-G); we
                 // surface it either way.
@@ -2047,6 +1928,9 @@ impl Simulator {
             }
 
             let entry = self.rob.pop_head().expect("head exists");
+            if let Some(h) = entry.ras {
+                self.ras_checkpoints.release_oldest(h);
+            }
             self.last_commit_cycle = self.cycle;
             self.stats.committed += 1;
             if self.unit.in_secure_region() {
@@ -2088,8 +1972,8 @@ impl Simulator {
             if entry.inst.op.is_load() {
                 self.trace_event(TraceEvent::MemRead { addr: entry.mem_addr });
             }
-            if let Some(id) = entry.store_id {
-                let s = self.lsq.commit_store(id).expect("store present at commit");
+            if entry.inst.op.is_store() {
+                let s = self.lsq.commit_store(entry.store_id).expect("store present at commit");
                 let addr = s.addr.expect("resolved before done");
                 semantics::store(&mut self.mem, s.width, addr, s.data);
                 let r = self.hier.data_access(entry.pc, addr, true);

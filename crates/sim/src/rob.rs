@@ -1,19 +1,42 @@
 //! The reorder buffer: a circular buffer of in-flight µops, committed in
 //! order from the head, squashed youngest-first from the tail.
+//!
+//! An entry is plain data (`Copy`, no heap pointers): a branch's RAT
+//! checkpoint lives in the pipeline's slot-indexed side array and its RAS
+//! snapshot in a [`crate::bpred::RasCheckpoints`] ring, and the entry
+//! also carries its pending completion's payload (`wb` + `result`), so
+//! the completion queue only schedules `(seq, slot)` pairs.
 
 use sempe_isa::insn::Inst;
 use sempe_isa::Addr;
 
-use crate::bpred::RasSnapshot;
-use crate::rename::{PhysReg, RatCheckpoint};
+use crate::bpred::RasHandle;
+use crate::rename::PhysReg;
 use crate::skip::Wake;
 
 /// Index of a ROB slot. Slots are reused; pair with the entry's `seq` to
 /// detect staleness.
 pub type RobSlot = usize;
 
+/// What a µop's completion does, decided when it issues.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Writeback {
+    /// Nothing beyond marking the µop done (no destination, or a fault).
+    None,
+    /// Write `result` to `phys_dest`.
+    Reg,
+    /// Write the loaded `result` to `phys_dest` and free the LQ slot.
+    Load,
+    /// Publish the store's address (`mem_addr`), data (`result`) and
+    /// width to the store queue.
+    Store,
+    /// Resolve a branch: write the link `result` to `phys_dest` (if any),
+    /// then squash on a misprediction.
+    Branch,
+}
+
 /// One in-flight µop.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct RobEntry {
     /// Global program-order sequence number (never reused).
     pub seq: u64,
@@ -21,38 +44,42 @@ pub struct RobEntry {
     pub pc: Addr,
     /// Decoded instruction.
     pub inst: Inst,
-    /// Encoded length (for next-PC arithmetic).
-    pub len: u8,
-    /// Execution finished; eligible for commit.
-    pub done: bool,
-    /// Newly allocated destination register.
-    pub phys_dest: Option<PhysReg>,
-    /// Previous mapping of the destination (freed at commit).
-    pub old_phys: Option<PhysReg>,
-    /// Predicted direction (conditional branches).
-    pub pred_taken: bool,
     /// Predicted next PC for taken/indirect flows.
     pub pred_target: Addr,
     /// Global history before this branch's outcome was inserted.
     pub ghr_before: u64,
-    /// RAT checkpoint for squash recovery (branches only).
-    pub rat_checkpoint: Option<Box<RatCheckpoint>>,
-    /// RAS snapshot (after this instruction's own push/pop).
-    pub ras_snapshot: Option<RasSnapshot>,
-    /// Resolved direction.
-    pub actual_taken: bool,
     /// Resolved target / taken-path entry for sJMP.
     pub actual_target: Addr,
+    /// Data address of a load/store (valid once executed).
+    pub mem_addr: Addr,
+    /// The completion's value: the register result, the loaded value, or
+    /// the store's data (see [`Writeback`]).
+    pub result: u64,
+    /// Store-queue identity (stores only).
+    pub store_id: u64,
+    /// Newly allocated destination register.
+    pub phys_dest: Option<PhysReg>,
+    /// Previous mapping of the destination (freed at commit).
+    pub old_phys: Option<PhysReg>,
+    /// RAS snapshot (after this instruction's own push/pop), for
+    /// branches that can mispredict.
+    pub ras: Option<RasHandle>,
+    /// Encoded length (for next-PC arithmetic).
+    pub len: u8,
+    /// Execution finished; eligible for commit.
+    pub done: bool,
+    /// Predicted direction (conditional branches).
+    pub pred_taken: bool,
+    /// Resolved direction.
+    pub actual_taken: bool,
     /// Was the instruction found mispredicted at resolution?
     pub mispredicted: bool,
     /// Is this a secure branch being tracked by the SempeUnit?
     pub is_sjmp: bool,
-    /// Data address of a load/store (valid once executed).
-    pub mem_addr: Addr,
-    /// Store-queue identity for stores.
-    pub store_id: Option<u64>,
-    /// Architectural fault to raise at commit.
-    pub exception: Option<sempe_isa::ExecError>,
+    /// Divided by zero: the architectural fault is raised at commit.
+    pub div_fault: bool,
+    /// What the pending completion does.
+    pub wb: Writeback,
 }
 
 impl RobEntry {
@@ -63,22 +90,23 @@ impl RobEntry {
             seq,
             pc,
             inst,
-            len,
-            done: false,
-            phys_dest: None,
-            old_phys: None,
-            pred_taken: false,
             pred_target: 0,
             ghr_before: 0,
-            rat_checkpoint: None,
-            ras_snapshot: None,
-            actual_taken: false,
             actual_target: 0,
+            mem_addr: 0,
+            result: 0,
+            store_id: 0,
+            phys_dest: None,
+            old_phys: None,
+            ras: None,
+            len,
+            done: false,
+            pred_taken: false,
+            actual_taken: false,
             mispredicted: false,
             is_sjmp: false,
-            mem_addr: 0,
-            store_id: None,
-            exception: None,
+            div_fault: false,
+            wb: Writeback::None,
         }
     }
 
@@ -102,7 +130,7 @@ impl Rob {
     /// A ROB with `capacity` slots.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
-        Rob { slots: (0..capacity).map(|_| None).collect(), head: 0, tail: 0, count: 0 }
+        Rob { slots: vec![None; capacity], head: 0, tail: 0, count: 0 }
     }
 
     /// Reset to the pristine empty state of `Rob::new(capacity)`,
@@ -110,13 +138,24 @@ impl Rob {
     /// Used by checkpoint restore, whose quiesce gate guarantees nothing
     /// in flight is being dropped.
     pub fn reset(&mut self, capacity: usize) {
-        for s in &mut self.slots {
-            *s = None;
-        }
-        self.slots.resize_with(capacity, || None);
+        self.slots.clear();
+        self.slots.resize(capacity, None);
         self.head = 0;
         self.tail = 0;
         self.count = 0;
+    }
+
+    /// Slot of the oldest entry (where the next entry would go when
+    /// empty).
+    #[must_use]
+    pub fn head_slot(&self) -> RobSlot {
+        self.head
+    }
+
+    /// Number of slots.
+    #[must_use]
+    pub fn capacity(&self) -> usize {
+        self.slots.len()
     }
 
     /// Occupied entries.
@@ -145,9 +184,17 @@ impl Rob {
         let slot = self.tail;
         debug_assert!(self.slots[slot].is_none());
         self.slots[slot] = Some(entry);
-        self.tail = (self.tail + 1) % self.slots.len();
+        self.tail = self.wrap_next(self.tail);
         self.count += 1;
         Some(slot)
+    }
+
+    fn wrap_next(&self, i: usize) -> usize {
+        if i + 1 == self.slots.len() {
+            0
+        } else {
+            i + 1
+        }
     }
 
     /// The oldest entry.
@@ -175,7 +222,7 @@ impl Rob {
             return None;
         }
         let e = self.slots[self.head].take();
-        self.head = (self.head + 1) % self.slots.len();
+        self.head = self.wrap_next(self.head);
         self.count -= 1;
         e
     }
@@ -192,22 +239,21 @@ impl Rob {
         self.slots.get(slot).and_then(|s| s.as_ref())
     }
 
-    /// Squash every entry younger than `seq` (strictly greater), removing
-    /// them youngest-first. Returns the removed entries, youngest first.
-    pub fn squash_younger(&mut self, seq: u64) -> Vec<RobEntry> {
-        let mut removed = Vec::new();
-        while self.count > 0 {
-            let last = (self.tail + self.slots.len() - 1) % self.slots.len();
-            let is_younger = self.slots[last].as_ref().is_some_and(|e| e.seq > seq);
-            if !is_younger {
-                break;
-            }
-            let e = self.slots[last].take().expect("checked above");
-            removed.push(e);
-            self.tail = last;
-            self.count -= 1;
+    /// Remove the youngest entry, with its slot, if it is younger than
+    /// `seq` (strictly greater). A squash calls this until it returns
+    /// `None`, so the younger entries leave youngest-first without a
+    /// temporary collection.
+    pub fn pop_younger(&mut self, seq: u64) -> Option<(RobSlot, RobEntry)> {
+        if self.count == 0 {
+            return None;
         }
-        removed
+        let last = if self.tail == 0 { self.slots.len() - 1 } else { self.tail - 1 };
+        if self.slots[last].as_ref().is_none_or(|e| e.seq <= seq) {
+            return None;
+        }
+        self.tail = last;
+        self.count -= 1;
+        self.slots[last].take().map(|e| (last, e))
     }
 
     /// Next-event report of the commit stage's view: the ROB holds no
@@ -263,8 +309,8 @@ mod tests {
         for s in 1..=5 {
             rob.push(entry(s)).unwrap();
         }
-        let removed = rob.squash_younger(3);
-        let seqs: Vec<u64> = removed.iter().map(|e| e.seq).collect();
+        let seqs: Vec<u64> =
+            std::iter::from_fn(|| rob.pop_younger(3)).map(|(_, e)| e.seq).collect();
         assert_eq!(seqs, vec![5, 4], "youngest first");
         assert_eq!(rob.len(), 3);
         let remaining: Vec<u64> = rob.iter().map(|e| e.seq).collect();
@@ -292,8 +338,7 @@ mod tests {
         for s in 1..=4 {
             rob.push(entry(s)).unwrap();
         }
-        let removed = rob.squash_younger(0);
-        assert_eq!(removed.len(), 4);
+        assert_eq!(std::iter::from_fn(|| rob.pop_younger(0)).count(), 4);
         assert!(rob.is_empty());
     }
 }

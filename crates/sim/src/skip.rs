@@ -18,10 +18,10 @@
 //! Reporters (one per timed structure, each documented at its source):
 //!
 //! * `Rob::commit_wake` — is the head ready to retire?
-//! * the completion min-heap — head event's cycle;
-//! * `Lsq::wake_since` — did the store queue change since the waiting
-//!   loads last checked?
-//! * the issue queues — any ready (woken) entry?
+//! * the completion calendar — earliest due event's cycle;
+//! * `Lsq::wake_since` — did the store queue change since the last
+//!   replay pass while loads are parked?
+//! * the issue queue — any ready (woken) entry?
 //! * rename — drain timers, decode-ready cycle of the frontend head,
 //!   structural hazards (via the same gate the rename stage itself
 //!   uses);

@@ -26,8 +26,10 @@
 //!   store at commit, matching where the pipeline touches the DL1.
 //! * **Branch predictors** — the exact call sequence the pipeline
 //!   issues for a committed branch: `predict` (speculative-history
-//!   push), `recover` on an actual-outcome mismatch (history rewind +
-//!   RAS restore), `update` at commit. `Tage::predict` and
+//!   push), recovery on an actual-outcome mismatch (history rewind; the
+//!   RAS snapshot a squash would restore is the current stack, since
+//!   nothing is fetched past a committed branch), `update` at commit.
+//!   `Tage::predict` and
 //!   `Ittage::predict` are `&self` (pure), squash recovery restores the
 //!   *full* RAS snapshot, and table training happens only at commit —
 //!   so replaying the committed path leaves the GHR, RAS, and
@@ -145,14 +147,7 @@ impl Observer for FullWarmup<'_> {
     }
 
     fn on_cond_branch(&mut self, pc: Addr, taken: bool) {
-        self.sampled(|w| {
-            let (pred, ghr_before) = w.bp.predict_cond(pc);
-            if pred != taken {
-                let ras = w.bp.ras_snapshot();
-                w.bp.recover_cond(ghr_before, taken, &ras);
-            }
-            w.bp.commit_cond(pc, ghr_before, taken);
-        });
+        self.sampled(|w| w.bp.warm_cond(pc, taken));
     }
 
     fn on_call(&mut self, return_addr: Addr) {
@@ -166,8 +161,7 @@ impl Observer for FullWarmup<'_> {
             let ghr_before = w.bp.ghr();
             let pred = w.bp.predict_return();
             if pred != Some(target) {
-                let ras = w.bp.ras_snapshot();
-                w.bp.recover_indirect(ghr_before, &ras);
+                w.bp.rewind_indirect(ghr_before);
             }
         });
     }
@@ -178,8 +172,7 @@ impl Observer for FullWarmup<'_> {
             let (t, _) = w.bp.predict_indirect(pc);
             let predicted = if t == 0 { fallthrough } else { t };
             if predicted != target {
-                let ras = w.bp.ras_snapshot();
-                w.bp.recover_indirect(ghr_before, &ras);
+                w.bp.rewind_indirect(ghr_before);
             }
             w.bp.commit_indirect(pc, ghr_before, target);
         });
@@ -222,22 +215,23 @@ impl StoreWindow {
     fn push(&mut self, addr: Addr, width: u8) {
         if self.ring.len() < self.cap {
             self.ring.push((addr, width));
-            self.next = self.ring.len() % self.cap;
         } else {
             self.ring[self.next] = (addr, width);
-            self.next = (self.next + 1) % self.cap;
+        }
+        self.next += 1;
+        if self.next == self.cap {
+            self.next = 0;
         }
     }
 
     /// Youngest-first scan, same verdict as the LSQ: an exact-base
     /// covering store forwards; a partially overlapping one does not
     /// (the pipeline's load waits and then reads the DL1); older stores
-    /// are shadowed by the youngest overlap.
+    /// are shadowed by the youngest overlap. The ring's youngest entries
+    /// are `ring[..next]`, then (once it has wrapped) `ring[next..]`.
     fn covers(&self, addr: Addr, width: u8) -> bool {
-        let n = self.ring.len();
-        for i in 1..=n {
-            let idx = (self.next + self.cap - i) % self.cap;
-            let Some(&(sa, sw)) = self.ring.get(idx) else { continue };
+        let (young, old) = self.ring.split_at(self.next.min(self.ring.len()));
+        for &(sa, sw) in young.iter().rev().chain(old.iter().rev()) {
             match overlap(sa, sw, addr, width) {
                 Overlap::Disjoint => {}
                 verdict => return verdict == Overlap::Forward,

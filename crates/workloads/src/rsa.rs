@@ -116,7 +116,8 @@ impl Default for TableModexpParams {
 /// independent common structure dominating the program image — the
 /// shape the checkpoint/fork engine amortizes — and the loads it feeds
 /// are the stall-heavy shape cycle skipping fast-forwards. Returns the
-/// program and the key's [`VarId`] (fork trials patch it in place).
+/// program and the key's [`VarId`](sempe_compile::VarId) (fork trials
+/// patch it in place).
 ///
 /// # Panics
 ///
