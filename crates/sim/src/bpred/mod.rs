@@ -16,7 +16,7 @@ use sempe_isa::Addr;
 
 use crate::config::BpredConfig;
 pub use ittage::Ittage;
-pub use ras::{RasCheckpoints, RasHandle, RasSnapshot, ReturnStack};
+pub use ras::{RasCheckpoints, RasHandle, ReturnStack};
 pub use tage::{push_history, Tage, TagePrediction};
 
 /// Counters for predictor behavior.
@@ -114,12 +114,6 @@ impl BranchPredictor {
         &self.ras
     }
 
-    /// Snapshot the RAS for squash recovery.
-    #[must_use]
-    pub fn ras_snapshot(&self) -> RasSnapshot {
-        self.ras.snapshot()
-    }
-
     /// Squash recovery for a mispredicted conditional branch: rewind the
     /// history to `ghr_before`, insert the actual outcome, restore the RAS.
     pub fn recover_cond(&mut self, ghr_before: u64, actual_taken: bool, ras: &[Addr]) {
@@ -186,7 +180,7 @@ mod tests {
         let (t1, g1) = bp.predict_cond(0x100);
         assert_eq!(g1, 0);
         assert_eq!(bp.ghr(), push_history(0, t1));
-        let ras = bp.ras_snapshot();
+        let ras = bp.ras().entries().to_vec();
         // Mispredict: rewind and insert the actual outcome.
         bp.recover_cond(g1, !t1, &ras);
         assert_eq!(bp.ghr(), push_history(0, !t1));
@@ -209,7 +203,7 @@ mod tests {
             let (pred, g) = bp.predict_cond(0x500);
             if !pred {
                 wrong += 1;
-                let ras = bp.ras_snapshot();
+                let ras = bp.ras().entries().to_vec();
                 bp.recover_cond(g, true, &ras);
             }
             bp.commit_cond(0x500, g, true);

@@ -12,9 +12,6 @@ pub struct ReturnStack {
     depth: usize,
 }
 
-/// A recoverable snapshot of the stack.
-pub type RasSnapshot = Vec<Addr>;
-
 impl ReturnStack {
     /// A stack holding up to `depth` return addresses.
     #[must_use]
@@ -54,13 +51,7 @@ impl ReturnStack {
         &self.entries
     }
 
-    /// Snapshot for squash recovery.
-    #[must_use]
-    pub fn snapshot(&self) -> RasSnapshot {
-        self.entries.clone()
-    }
-
-    /// Restore a snapshot.
+    /// Restore a snapshot taken from [`ReturnStack::entries`].
     pub fn restore(&mut self, snap: &[Addr]) {
         self.entries.clear();
         self.entries.extend_from_slice(snap);
@@ -70,15 +61,14 @@ impl ReturnStack {
 /// A handle to one snapshot in a [`RasCheckpoints`] ring.
 pub type RasHandle = u32;
 
-/// The RAS snapshots of the in-flight branches, in one buffer allocated
-/// up front.
+/// The RAS snapshots of the in-flight branches, in one buffer sized by
+/// [`RasCheckpoints::ensure`].
 ///
 /// A branch snapshots the stack at fetch, in program order, and gives
 /// the snapshot back at commit (oldest first) or when a squash removes
 /// it (youngest first), so the live snapshots form a FIFO: a ring of
 /// `depth`-address rows addressed by a wrapping [`RasHandle`]. Taking
-/// and releasing one copies at most `depth` addresses and never
-/// allocates.
+/// one copies at most `depth` addresses and never allocates.
 #[derive(Debug, Clone, Default)]
 pub struct RasCheckpoints {
     rows: Vec<Addr>,
@@ -92,35 +82,20 @@ pub struct RasCheckpoints {
 }
 
 impl RasCheckpoints {
-    /// Room for `capacity` live snapshots of a `depth`-entry stack.
-    #[must_use]
-    pub fn new(capacity: usize, depth: usize) -> Self {
-        let mut r =
-            RasCheckpoints { rows: Vec::new(), lens: Vec::new(), depth, mask: 0, head: 0, tail: 0 };
-        r.reset(capacity, depth);
-        r
-    }
-
     /// Size the ring for `capacity` snapshots of a `depth`-entry stack
-    /// unless it already is; the default ring holds none. Resizing
-    /// releases every snapshot, so the ring must be empty then.
+    /// unless it already is; the default ring holds none. Resizing keeps
+    /// the buffers' allocations and releases every snapshot, so the ring
+    /// must be empty then.
     pub fn ensure(&mut self, capacity: usize, depth: usize) {
         let slots = capacity.max(1).next_power_of_two();
         if self.lens.len() != slots || self.depth != depth {
             debug_assert!(self.is_empty(), "resizing drops live snapshots");
-            self.reset(capacity, depth);
+            self.rows.resize(slots * depth, 0);
+            self.lens.resize(slots, 0);
+            self.depth = depth;
+            self.mask = RasHandle::try_from(slots - 1).expect("snapshot ring fits a handle");
+            self.clear();
         }
-    }
-
-    /// Become `RasCheckpoints::new(capacity, depth)`, keeping the
-    /// buffers' allocations.
-    pub fn reset(&mut self, capacity: usize, depth: usize) {
-        let slots = capacity.max(1).next_power_of_two();
-        self.rows.resize(slots * depth, 0);
-        self.lens.resize(slots, 0);
-        self.depth = depth;
-        self.mask = RasHandle::try_from(slots - 1).expect("snapshot ring fits a handle");
-        self.clear();
     }
 
     /// Live snapshots.
@@ -210,7 +185,7 @@ mod tests {
     fn snapshot_restore_roundtrips() {
         let mut r = ReturnStack::new(4);
         r.push(7);
-        let snap = r.snapshot();
+        let snap = r.entries().to_vec();
         r.push(8);
         r.pop();
         r.pop();
@@ -222,7 +197,8 @@ mod tests {
     #[test]
     fn checkpoint_ring_is_a_fifo_that_never_grows() {
         let mut r = ReturnStack::new(4);
-        let mut cps = RasCheckpoints::new(3, 4);
+        let mut cps = RasCheckpoints::default();
+        cps.ensure(3, 4);
         let empty = cps.take(&r);
         r.push(1);
         r.push(2);

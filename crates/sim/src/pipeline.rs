@@ -1767,8 +1767,9 @@ impl Simulator {
             return;
         }
         self.replay_lsq_version = self.lsq.version();
-        let mut i = 0;
+        // Walk the parked loads only when some blocker actually moved.
         let woken = self.lsq.take_woken();
+        let mut i = 0;
         while woken && i < self.replay.len() {
             let p = self.replay[i];
             if !self.lsq.settled(p.blocker) {
