@@ -529,9 +529,8 @@ impl Simulator {
     /// — every recycled collection starts a run empty, so only spare
     /// capacity carries over, never state — but a long-lived worker (the
     /// evaluation service keeps one simulator arena per worker thread)
-    /// skips re-growing the wakeup lists, completion
-    /// calendar, branch checkpoint arrays, and stage scratch buffers on
-    /// every job.
+    /// skips re-growing the wakeup lists, completion calendar, branch
+    /// checkpoint arrays, and stage scratch buffers on every job.
     ///
     /// # Errors
     ///
@@ -657,10 +656,9 @@ impl Simulator {
     /// simulator is synchronized with `cp`'s snapshot — always the case
     /// in a restore-patch-run loop — and a full image copy otherwise,
     /// which still skips the decode). Transient structures (frontend,
-    /// ROB, issue queues, completion calendar, LSQ, branch checkpoints)
-    /// were empty at checkpoint
-    /// time by the quiesce gate, so they reset in place, keeping their
-    /// allocations. A run after `restore_from` is cycle-for-cycle,
+    /// ROB, issue queue, completion calendar, LSQ, branch checkpoints)
+    /// were empty at checkpoint time by the quiesce gate, so they reset
+    /// in place, keeping their allocations. A run after `restore_from` is cycle-for-cycle,
     /// event-for-event identical to a run of a freshly built simulator
     /// with the same program image (asserted by the golden tests in
     /// `tests/checkpoint.rs` and the fuzzer's fork oracle).
