@@ -121,10 +121,10 @@ pub struct Lsq {
     /// [`Lsq::take_woken`].
     woken: bool,
     /// Bumped on every store-queue mutation: allocate, resolve, commit
-    /// and squash. It no longer drives disambiguation (parked loads wait
-    /// on their [`Blocker`]); it times the `load_replays` statistic and
+    /// and squash. It does not decide when a parked load is re-checked
+    /// (its [`Blocker`] does); it times the `load_replays` statistic and
     /// the replay stage's [`Wake`] report, which count a replay pass on
-    /// every cycle the queue changed while loads were parked.
+    /// every cycle the queue changed while loads are parked.
     version: u64,
 }
 
