@@ -1,7 +1,7 @@
 //! A return-address stack with copy-based checkpointing (the stack is
 //! small, so snapshot-on-branch is the simplest correct recovery scheme in
 //! a software model). The pipeline keeps its in-flight branches'
-//! snapshots in one preallocated [`RasCheckpoints`] ring.
+//! snapshots in one reusable [`RasCheckpoints`] ring.
 
 use sempe_isa::Addr;
 
