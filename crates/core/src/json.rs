@@ -493,22 +493,35 @@ impl<'a> JsonParser<'a> {
         }
     }
 
-    #[allow(clippy::cast_precision_loss)]
-    fn number(&mut self) -> Result<Json, JsonError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+    /// Consume one or more decimal digits.
+    fn digits(&mut self) -> Result<(), JsonError> {
+        if !matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            return Err(self.err("invalid number"));
         }
         while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
             self.pos += 1;
+        }
+        Ok(())
+    }
+
+    #[allow(clippy::cast_precision_loss)]
+    fn number(&mut self) -> Result<Json, JsonError> {
+        let start = self.pos;
+        // RFC 8259 §6: no leading zeros, and a fraction or exponent
+        // needs at least one digit.
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        match self.peek() {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => self.digits()?,
+            _ => return Err(self.err("invalid number")),
         }
         let mut fractional = false;
         if self.peek() == Some(b'.') {
             fractional = true;
             self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            self.digits()?;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             fractional = true;
@@ -516,9 +529,7 @@ impl<'a> JsonParser<'a> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            self.digits()?;
         }
         let text = core::str::from_utf8(&self.src[start..self.pos])
             .map_err(|_| self.err("invalid number"))?;
@@ -612,6 +623,9 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("\"abc").is_err());
+        for number in ["01", "-01", "00", "1.", "1.e5", "-", "-.5", "1e", "1e+"] {
+            assert!(parse(number).is_err(), "{number} is not a JSON number");
+        }
         let deep = "[".repeat(100) + &"]".repeat(100);
         assert!(parse(&deep).is_err(), "depth limit");
     }

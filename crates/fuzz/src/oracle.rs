@@ -43,6 +43,7 @@ use core::fmt;
 use sempe_compile::{compile, run_wir, Backend, CompiledWorkload, WirProgram, WirResult};
 use sempe_core::{first_divergence, Strictness};
 use sempe_isa::interp::{Interp, InterpMode};
+use sempe_isa::reg::Reg;
 use sempe_sim::{SimConfig, Simulator, Stepping};
 
 use crate::gen::{FuzzCase, Profile};
@@ -238,7 +239,8 @@ impl SimArena {
     /// caches, predictor), restore, and run again. Both runs — and in
     /// particular the *restored* one — must reproduce the cold run's
     /// cycle count and committed count bit for bit, agree with each
-    /// other on outputs, and leave `Strictness::Full`-identical
+    /// other on outputs, the whole `SimStats`, the ROI spans and every
+    /// architectural register, and leave `Strictness::Full`-identical
     /// observation traces. Every generated program goes through this, so
     /// a checkpoint field that silently leaks state across a restore
     /// shows up as a fuzz divergence, not as a wrong paper number.
@@ -265,6 +267,8 @@ impl SimArena {
         let first = sim.run(SIM_FUEL).map_err(|e| fail(format!("first run fault: {e}")))?;
         let first_outputs = cw.read_outputs(sim.mem());
         let first_trace = sim.trace().clone();
+        let first_spans = sim.roi_spans().to_vec();
+        let first_regs: Vec<u64> = Reg::all().map(|r| sim.arch_reg(r)).collect();
         sim.restore_from(&cp);
         let restored = sim.run(SIM_FUEL).map_err(|e| fail(format!("restored run fault: {e}")))?;
         for (which, res) in [("first", &first), ("restored", &restored)] {
@@ -289,6 +293,25 @@ impl SimArena {
         }
         if let Some(d) = first_divergence(&first_trace, sim.trace(), Strictness::Full) {
             return Err(fail(format!("restored trace diverges: {d:?}")));
+        }
+        if restored.stats != first.stats {
+            return Err(fail(format!(
+                "restored stats {:?} != pre-restore stats {:?}",
+                restored.stats, first.stats
+            )));
+        }
+        if sim.roi_spans() != first_spans.as_slice() {
+            return Err(fail(format!(
+                "restored ROI spans {:?} != pre-restore spans {first_spans:?}",
+                sim.roi_spans()
+            )));
+        }
+        if let Some(r) = Reg::all().find(|&r| sim.arch_reg(r) != first_regs[r.index()]) {
+            return Err(fail(format!(
+                "restored {r:?} = {:#x}, pre-restore {:#x}",
+                sim.arch_reg(r),
+                first_regs[r.index()]
+            )));
         }
         Ok(())
     }

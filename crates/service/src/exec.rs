@@ -541,6 +541,21 @@ struct RunData {
 }
 
 impl RunData {
+    /// The reported facts of one finished run and its outputs.
+    fn new(res: &SimResult, outputs: Vec<u64>) -> Self {
+        let stats = res.stats;
+        RunData {
+            cycles: res.cycles(),
+            committed: res.committed(),
+            ff_committed: stats.ff_committed,
+            secure_committed: stats.secure_committed,
+            squashes: stats.squashes,
+            drain_stall_cycles: stats.drain_stall_cycles,
+            ipc: (stats.ipc() * 1e6).round() / 1e6,
+            outputs,
+        }
+    }
+
     fn to_json(&self) -> Json {
         Json::obj()
             .with("cycles", self.cycles)
@@ -567,17 +582,7 @@ fn arena_run(
     let cw = compile_sel(prog, sel)?;
     span.mark("compile");
     let res = arena.simulate(cw.program(), mode.sim_config(sel), fuel, deadline, span)?;
-    let stats = res.stats;
-    Ok(RunData {
-        cycles: res.cycles(),
-        committed: res.committed(),
-        ff_committed: stats.ff_committed,
-        secure_committed: stats.secure_committed,
-        squashes: stats.squashes,
-        drain_stall_cycles: stats.drain_stall_cycles,
-        ipc: (stats.ipc() * 1e6).round() / 1e6,
-        outputs: cw.read_outputs(arena.sim()?.mem()),
-    })
+    Ok(RunData::new(&res, cw.read_outputs(arena.sim()?.mem())))
 }
 
 /// One fork-server trial: restore `cp` into `slot` (hydrating it on
@@ -603,17 +608,7 @@ fn forked_run(
     let res = sim.run_with_deadline(fuel, deadline).map_err(sim_err);
     span.add("simulate", run_start.elapsed());
     let res = res?;
-    let stats = res.stats;
-    Ok(RunData {
-        cycles: res.cycles(),
-        committed: res.committed(),
-        ff_committed: stats.ff_committed,
-        secure_committed: stats.secure_committed,
-        squashes: stats.squashes,
-        drain_stall_cycles: stats.drain_stall_cycles,
-        ipc: (stats.ipc() * 1e6).round() / 1e6,
-        outputs: cw.read_outputs(sim.mem()),
-    })
+    Ok(RunData::new(&res, cw.read_outputs(sim.mem())))
 }
 
 fn do_run(

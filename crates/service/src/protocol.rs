@@ -926,6 +926,7 @@ mod tests {
         assert_eq!(code(r#"{"type":"run"}"#), ErrorCode::BadRequest);
         assert_eq!(code(r#"{"type":"run","source":"s","backend":"gpu"}"#), ErrorCode::BadRequest);
         assert_eq!(code(r#"{"type":"run","source":"s","max_cycles":0}"#), ErrorCode::BadRequest);
+        assert_eq!(code(r#"{"type":"run","source":"s","max_cycles":01}"#), ErrorCode::Parse);
         assert_eq!(
             code(r#"{"type":"attack","source":"s","candidates":[1]}"#),
             ErrorCode::BadRequest

@@ -115,8 +115,6 @@ pub struct Lsq {
     sq_capacity: usize,
     lq_capacity: usize,
     loads_in_flight: usize,
-    /// Forwarding events (statistics).
-    pub forwards: u64,
     /// A store with parked loads resolved or committed since the last
     /// [`Lsq::take_woken`].
     woken: bool,
@@ -138,7 +136,6 @@ impl Lsq {
             sq_capacity,
             lq_capacity,
             loads_in_flight: 0,
-            forwards: 0,
             woken: false,
             version: 0,
         }
@@ -173,15 +170,14 @@ impl Lsq {
     }
 
     /// Reset to the pristine state of `Lsq::new(lq, sq)`, keeping the
-    /// store queue's allocation. The `forwards` statistic is also
-    /// zeroed; a checkpoint restore re-seeds it from the checkpoint.
+    /// store queue's allocation.
     pub fn reset(&mut self, lq_capacity: usize, sq_capacity: usize) {
         self.stores.clear();
+        self.stores.reserve(sq_capacity);
         self.head_id = 0;
         self.sq_capacity = sq_capacity;
         self.lq_capacity = lq_capacity;
         self.loads_in_flight = 0;
-        self.forwards = 0;
         self.woken = false;
         self.version = 0;
     }
@@ -283,7 +279,7 @@ impl Lsq {
     }
 
     /// Scan for a load at `seq` reading `[addr, addr+width)`.
-    pub fn check_load(&mut self, seq: u64, addr: Addr, width: u8) -> LoadCheck {
+    pub fn check_load(&self, seq: u64, addr: Addr, width: u8) -> LoadCheck {
         // `stores` is seq-sorted, so the stores older than this load are
         // a prefix; walk it backwards (youngest-first, nearest writer
         // wins), skipping the younger suffix.
@@ -292,7 +288,6 @@ impl Lsq {
             match overlap(sa, s.width, addr, width) {
                 Overlap::Disjoint => {}
                 Overlap::Forward => {
-                    self.forwards += 1;
                     let val = match width {
                         1 => s.data & 0xFF,
                         4 => s.data & 0xFFFF_FFFF,
@@ -347,10 +342,16 @@ mod tests {
         let mut lsq = Lsq::new(4, 4);
         let id = lsq.alloc_store(10);
         lsq.resolve_store(id, 0x100, 0xAABB_CCDD_EEFF_1122, 8);
-        assert_eq!(lsq.check_load(11, 0x100, 8), LoadCheck::Forward(0xAABB_CCDD_EEFF_1122));
-        assert_eq!(lsq.check_load(11, 0x100, 4), LoadCheck::Forward(0xEEFF_1122));
-        assert_eq!(lsq.check_load(11, 0x100, 1), LoadCheck::Forward(0x22));
-        assert_eq!(lsq.forwards, 3);
+        let verdicts = [8, 4, 1].map(|width| lsq.check_load(11, 0x100, width));
+        assert_eq!(
+            verdicts,
+            [
+                LoadCheck::Forward(0xAABB_CCDD_EEFF_1122),
+                LoadCheck::Forward(0xEEFF_1122),
+                LoadCheck::Forward(0x22),
+            ]
+        );
+        assert_eq!(verdicts.iter().filter(|v| matches!(v, LoadCheck::Forward(_))).count(), 3);
     }
 
     #[test]

@@ -318,37 +318,22 @@ fn elapsed_ns(since: std::time::Instant) -> u64 {
     since.elapsed().as_nanos().min(u64::MAX as u128) as u64
 }
 
-/// The cycle-level simulator.
+/// Everything about the machine that outlives a run: the configuration,
+/// the shared decode, the front end's position, the predictor, RAT and
+/// physical register file, caches, architectural registers, SeMPE unit,
+/// ROI bookkeeping, trace and statistics. Memory is kept beside it
+/// ([`Memory`] snapshots and restores page-wise).
 ///
-/// # Examples
-///
-/// ```
-/// use sempe_isa::asm::Asm;
-/// use sempe_isa::reg::abi;
-/// use sempe_sim::config::SimConfig;
-/// use sempe_sim::pipeline::Simulator;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut a = Asm::new();
-/// a.movi(abi::A[0], 20);
-/// a.addi(abi::A[0], abi::A[0], 22);
-/// a.halt();
-/// let prog = a.assemble()?;
-///
-/// let mut sim = Simulator::new(&prog, SimConfig::baseline())?;
-/// let result = sim.run(10_000)?;
-/// assert!(result.halted);
-/// assert_eq!(sim.arch_reg(abi::A[0]), 42);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct Simulator {
+/// This is the state a fork must carry across and must not leak: a
+/// [`Checkpoint`] holds one copy, and a restore copies it back whole.
+/// Everything else in a [`Simulator`] is in flight — empty at every
+/// quiesced point — and [`Simulator::reset_transient`] resets it.
+#[derive(Debug, Clone)]
+struct MachineState {
     config: SimConfig,
     /// Shared so a [`Checkpoint`] (and every simulator forked from it)
     /// reuses one decode instead of re-decoding per trial.
     prog: Arc<DecodedProgram>,
-    mem: Memory,
     cycle: u64,
     seq_counter: u64,
     halted: bool,
@@ -358,38 +343,10 @@ pub struct Simulator {
     fetch_stall_until: u64,
     fetch_block: FetchBlock,
     last_fetch_line: Option<u64>,
-    frontend: VecDeque<FrontendEntry>,
     bp: BranchPredictor,
 
     // Back end.
     rename: RenameState,
-    rob: Rob,
-    /// Issue-queue entries by ROB slot; both classes share it (see
-    /// [`IqEntry`]).
-    iq: Vec<IqEntry>,
-    /// Bit `slot` is set iff `iq[slot]` is active with no pending source.
-    iq_ready: Vec<u64>,
-    /// Occupancy per class (structural-hazard gating at rename).
-    iq_count_int: usize,
-    iq_count_fp: usize,
-    /// Per physical register: `(ROB slot, seq)` of entries waiting on
-    /// its writeback. Stale records are dropped at wake time.
-    reg_waiters: Vec<Vec<(u32, u64)>>,
-    lsq: Lsq,
-    /// Pending completions by due cycle: the complete stage takes only
-    /// what is due, and each event's payload waits in its ROB entry.
-    events: Calendar,
-    /// Loads parked on a store, in the order they parked.
-    replay: Vec<ParkedLoad>,
-    /// Store-queue version at the last replay pass. A pass runs on every
-    /// cycle the queue changed while loads are parked, but re-checks only
-    /// the loads whose blocker settled.
-    replay_lsq_version: u64,
-    /// RAT checkpoint of each ROB slot's branch, for squash recovery.
-    rat_checkpoints: Vec<RatCheckpoint>,
-    /// RAS snapshots of the in-flight branches, taken at fetch.
-    ras_checkpoints: RasCheckpoints,
-    rename_blocked_on: Option<u64>,
     rename_stall_until: u64,
     /// The integer divider is a single non-pipelined unit.
     int_div_busy_until: u64,
@@ -426,16 +383,123 @@ pub struct Simulator {
     trace: ObservationTrace,
     stats: SimStats,
     last_commit_cycle: u64,
+}
+
+impl MachineState {
+    /// The machine `prog` starts as under `config`, and a fresh memory
+    /// with its code and data loaded.
+    fn new(prog: &Program, config: SimConfig) -> Result<(Self, Memory), SimError> {
+        let decode_mode = match config.mode {
+            SecurityMode::Baseline => DecodeMode::Legacy,
+            SecurityMode::Sempe => DecodeMode::Sempe,
+        };
+        let decoded = prog.decoded(decode_mode)?;
+        let mut mem = Memory::new();
+        prog.load_into(&mut mem);
+        let mut arch_regs = [0u64; NUM_ARCH_REGS];
+        arch_regs[Reg::SP.index()] = layout::STACK_TOP;
+        let state = MachineState {
+            fetch_pc: decoded.entry(),
+            prog: Arc::new(decoded),
+            cycle: 0,
+            seq_counter: 0,
+            halted: false,
+            fetch_stall_until: 0,
+            fetch_block: FetchBlock::None,
+            last_fetch_line: None,
+            bp: BranchPredictor::new(config.bpred),
+            rename: RenameState::new(
+                config.core.int_phys_regs,
+                config.core.fp_phys_regs,
+                &arch_regs,
+            ),
+            rename_stall_until: 0,
+            int_div_busy_until: 0,
+            fp_div_busy_until: 0,
+            hier: MemHierarchy::new(config.mem),
+            arch_regs,
+            unit: SempeUnit::new(config.sempe),
+            tier_detailed: false,
+            roi_open_cycle: None,
+            roi_spans: Vec::new(),
+            trace: ObservationTrace::new(),
+            stats: SimStats::default(),
+            last_commit_cycle: 0,
+            config,
+        };
+        Ok((state, mem))
+    }
+}
+
+/// The cycle-level simulator.
+///
+/// # Examples
+///
+/// ```
+/// use sempe_isa::asm::Asm;
+/// use sempe_isa::reg::abi;
+/// use sempe_sim::config::SimConfig;
+/// use sempe_sim::pipeline::Simulator;
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let mut a = Asm::new();
+/// a.movi(abi::A[0], 20);
+/// a.addi(abi::A[0], abi::A[0], 22);
+/// a.halt();
+/// let prog = a.assemble()?;
+///
+/// let mut sim = Simulator::new(&prog, SimConfig::baseline())?;
+/// let result = sim.run(10_000)?;
+/// assert!(result.halted);
+/// assert_eq!(sim.arch_reg(abi::A[0]), 42);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug)]
+pub struct Simulator {
+    /// Persistent machine state (see `MachineState`).
+    state: MachineState,
+    mem: Memory,
+    /// Host-time ledger (see [`HostProfile`] for the lifetime contract).
+    host: HostProfile,
+
+    // In flight: empty at every quiesced point, reset by
+    // `reset_transient`.
+    frontend: VecDeque<FrontendEntry>,
+    rob: Rob,
+    /// Issue-queue entries by ROB slot; both classes share it (see
+    /// [`IqEntry`]).
+    iq: Vec<IqEntry>,
+    /// Bit `slot` is set iff `iq[slot]` is active with no pending source.
+    iq_ready: Vec<u64>,
+    /// Occupancy per class (structural-hazard gating at rename).
+    iq_count_int: usize,
+    iq_count_fp: usize,
+    /// Per physical register: `(ROB slot, seq)` of entries waiting on
+    /// its writeback. Stale records are dropped at wake time.
+    reg_waiters: Vec<Vec<(u32, u64)>>,
+    lsq: Lsq,
+    /// Pending completions by due cycle: the complete stage takes only
+    /// what is due, and each event's payload waits in its ROB entry.
+    events: Calendar,
+    /// Loads parked on a store, in the order they parked.
+    replay: Vec<ParkedLoad>,
+    /// Store-queue version at the last replay pass. A pass runs on every
+    /// cycle the queue changed while loads are parked, but re-checks only
+    /// the loads whose blocker settled.
+    replay_lsq_version: u64,
+    /// RAT checkpoint of each ROB slot's branch, for squash recovery.
+    rat_checkpoints: Vec<RatCheckpoint>,
+    /// RAS snapshots of the in-flight branches, taken at fetch.
+    ras_checkpoints: RasCheckpoints,
+    rename_blocked_on: Option<u64>,
     /// Cycles fast-forwarded by the next-event skip. Host-side
     /// diagnostics only — deliberately *not* part of [`SimStats`], which
     /// must be bit-for-bit identical between skip and classic stepping.
     skipped_cycles: u64,
     /// Number of skip jumps taken.
     skips: u64,
-    /// Host-time ledger (see [`HostProfile`] for the lifetime contract).
-    host: HostProfile,
-
-    // Reusable scratch buffers: the per-cycle stages must not allocate.
+    /// Reusable scratch buffer: the per-cycle stages must not allocate.
     due_scratch: Vec<Event>,
 }
 
@@ -449,115 +513,98 @@ impl Simulator {
     /// configured front end.
     pub fn new(prog: &Program, config: SimConfig) -> Result<Self, SimError> {
         let build_start = std::time::Instant::now();
-        let decode_mode = match config.mode {
-            SecurityMode::Baseline => DecodeMode::Legacy,
-            SecurityMode::Sempe => DecodeMode::Sempe,
-        };
-        let decoded = prog.decoded(decode_mode)?;
-        let mut mem = Memory::new();
-        prog.load_into(&mut mem);
-        let mut arch_regs = [0u64; NUM_ARCH_REGS];
-        arch_regs[Reg::SP.index()] = layout::STACK_TOP;
+        let (state, mem) = MachineState::new(prog, config)?;
+        let mut sim = Self::with_state(state, mem);
+        sim.host.decode_ns = elapsed_ns(build_start);
+        Ok(sim)
+    }
+
+    /// A simulator in `state` with a fresh host ledger and sized, empty
+    /// in-flight structures.
+    fn with_state(state: MachineState, mem: Memory) -> Self {
         let mut sim = Simulator {
-            fetch_pc: decoded.entry(),
-            prog: Arc::new(decoded),
+            state,
             mem,
-            cycle: 0,
-            seq_counter: 0,
-            halted: false,
-            fetch_stall_until: 0,
-            fetch_block: FetchBlock::None,
-            last_fetch_line: None,
+            host: HostProfile::default(),
             frontend: VecDeque::new(),
-            bp: BranchPredictor::new(config.bpred),
-            rename: RenameState::new(
-                config.core.int_phys_regs,
-                config.core.fp_phys_regs,
-                &arch_regs,
-            ),
-            rob: Rob::new(config.core.rob_entries),
-            iq: vec![IqEntry::EMPTY; config.core.rob_entries],
-            iq_ready: vec![0; config.core.rob_entries.div_ceil(64)],
+            rob: Rob::new(0),
+            iq: Vec::new(),
+            iq_ready: Vec::new(),
             iq_count_int: 0,
             iq_count_fp: 0,
-            reg_waiters: vec![Vec::new(); config.core.int_phys_regs + config.core.fp_phys_regs],
-            lsq: Lsq::new(config.core.lq_entries, config.core.sq_entries),
+            reg_waiters: Vec::new(),
+            lsq: Lsq::new(0, 0),
             events: Calendar::new(),
             replay: Vec::new(),
             replay_lsq_version: 0,
             rat_checkpoints: Vec::new(),
             ras_checkpoints: RasCheckpoints::default(),
             rename_blocked_on: None,
-            rename_stall_until: 0,
-            int_div_busy_until: 0,
-            fp_div_busy_until: 0,
-            hier: MemHierarchy::new(config.mem),
-            arch_regs,
-            unit: SempeUnit::new(config.sempe),
-            tier_detailed: false,
-            roi_open_cycle: None,
-            roi_spans: Vec::new(),
-            trace: ObservationTrace::new(),
-            stats: SimStats::default(),
-            last_commit_cycle: 0,
             skipped_cycles: 0,
             skips: 0,
-            host: HostProfile::default(),
             due_scratch: Vec::new(),
-            config,
         };
-        sim.host.decode_ns = elapsed_ns(build_start);
-        Ok(sim)
+        sim.reset_transient();
+        sim
     }
 
-    /// Size the branch checkpoint arrays for the configuration. Done at
-    /// the start of a run rather than at construction, so a rebuild
-    /// reuses the previous program's arrays instead of allocating (and
-    /// zeroing) fresh ones: one RAT checkpoint per ROB slot, and one RAS
-    /// snapshot per branch in the ROB or the frontend queue at most.
-    fn size_branch_checkpoints(&mut self) {
-        let core = self.config.core;
+    /// Empty every in-flight structure and size it for `state.config`,
+    /// keeping the allocations: the ROB, issue queue and wakeup lists,
+    /// the LSQ, completion calendar and parked loads, the branch
+    /// checkpoints (one RAT checkpoint per ROB slot, one RAS snapshot per
+    /// branch in the ROB or the frontend queue at most), the stage
+    /// scratch buffer and the skip counters. Nothing in flight survives a
+    /// rebuild or a restore, so only spare capacity ever carries over.
+    fn reset_transient(&mut self) {
+        let config = &self.state.config;
+        let core = config.core;
+        self.frontend.clear();
+        self.rob.reset(core.rob_entries);
+        self.iq.clear();
+        self.iq.resize(core.rob_entries, IqEntry::EMPTY);
+        self.iq_ready.clear();
+        self.iq_ready.resize(core.rob_entries.div_ceil(64), 0);
+        self.iq_count_int = 0;
+        self.iq_count_fp = 0;
+        self.reg_waiters.resize_with(core.int_phys_regs + core.fp_phys_regs, Vec::new);
+        for w in &mut self.reg_waiters {
+            w.clear();
+        }
+        self.lsq.reset(core.lq_entries, core.sq_entries);
+        self.events.clear();
+        self.replay.clear();
+        self.replay_lsq_version = 0;
         self.rat_checkpoints.resize(core.rob_entries, [0; NUM_ARCH_REGS]);
-        self.ras_checkpoints
-            .ensure(core.rob_entries + core.frontend_queue, self.config.bpred.ras_depth);
+        self.ras_checkpoints.clear();
+        self.ras_checkpoints.ensure(core.rob_entries + core.frontend_queue, config.bpred.ras_depth);
+        self.rename_blocked_on = None;
+        self.due_scratch.clear();
+        self.skipped_cycles = 0;
+        self.skips = 0;
     }
 
     /// Rebuild this simulator in place for a new program and
     /// configuration, recycling the previous run's heap allocations.
     ///
-    /// Semantically identical to `*self = Simulator::new(prog, config)?`
-    /// — every recycled collection starts a run empty, so only spare
-    /// capacity carries over, never state — but a long-lived worker (the
-    /// evaluation service keeps one simulator arena per worker thread)
-    /// skips re-growing the wakeup lists, completion calendar, branch
-    /// checkpoint arrays, and stage scratch buffers on every job.
+    /// Semantically identical to `*self = Simulator::new(prog, config)?`:
+    /// the `MachineState` and memory are built fresh and the in-flight
+    /// structures are reset, so only their spare capacity carries over,
+    /// never state. A long-lived worker (the evaluation service keeps one
+    /// simulator arena per worker thread) skips re-growing the ROB, wakeup
+    /// lists, completion calendar, branch checkpoint arrays and stage
+    /// scratch buffers on every job. The host ledger starts afresh.
     ///
     /// # Errors
     ///
     /// [`SimError::Decode`] when the image does not decode under the
     /// configured front end; `self` is left untouched in that case.
     pub fn rebuild(&mut self, prog: &Program, config: SimConfig) -> Result<(), SimError> {
-        let mut fresh = Self::new(prog, config)?;
-        self.frontend.clear();
-        core::mem::swap(&mut fresh.frontend, &mut self.frontend);
-        self.replay.clear();
-        core::mem::swap(&mut fresh.replay, &mut self.replay);
-        self.roi_spans.clear();
-        core::mem::swap(&mut fresh.roi_spans, &mut self.roi_spans);
-        self.due_scratch.clear();
-        core::mem::swap(&mut fresh.due_scratch, &mut self.due_scratch);
-        self.events.clear();
-        core::mem::swap(&mut fresh.events, &mut self.events);
-        self.ras_checkpoints.clear();
-        core::mem::swap(&mut fresh.ras_checkpoints, &mut self.ras_checkpoints);
-        core::mem::swap(&mut fresh.rat_checkpoints, &mut self.rat_checkpoints);
-        if self.reg_waiters.len() == fresh.reg_waiters.len() {
-            for w in &mut self.reg_waiters {
-                w.clear();
-            }
-            core::mem::swap(&mut fresh.reg_waiters, &mut self.reg_waiters);
-        }
-        *self = fresh;
+        let build_start = std::time::Instant::now();
+        let (state, mem) = MachineState::new(prog, config)?;
+        self.state = state;
+        self.mem = mem;
+        self.reset_transient();
+        self.host = HostProfile { decode_ns: elapsed_ns(build_start), ..HostProfile::default() };
         Ok(())
     }
 
@@ -586,14 +633,11 @@ impl Simulator {
         }
     }
 
-    /// Capture the machine's complete state as a [`Checkpoint`].
-    ///
-    /// The checkpoint is self-contained and immutable: it carries the
-    /// shared decode (`Arc<DecodedProgram>`), a memory snapshot, and a
-    /// copy of every persistent structure (register files, RAT, branch
-    /// predictor tables, cache hierarchy, SeMPE unit, statistics, trace),
-    /// so any number of simulators can later [`Simulator::restore_from`]
-    /// it — the fork-server pattern: build + decode once, fork per trial.
+    /// Capture the machine's complete state as a [`Checkpoint`]: a copy
+    /// of the `MachineState` (which shares the decode) and a memory
+    /// snapshot. Any number of simulators can later
+    /// [`Simulator::restore_from`] it — the fork-server pattern: build +
+    /// decode once, fork per trial.
     ///
     /// Taking the snapshot also arms this memory's dirty-page tracking,
     /// making a subsequent restore *of this simulator* O(dirty pages).
@@ -606,35 +650,9 @@ impl Simulator {
     /// state is deliberately not captured.
     pub fn checkpoint(&mut self) -> Result<Checkpoint, SimError> {
         if !self.is_quiesced() {
-            return Err(SimError::NotQuiesced { cycle: self.cycle });
+            return Err(SimError::NotQuiesced { cycle: self.state.cycle });
         }
-        Ok(Checkpoint {
-            config: self.config,
-            prog: Arc::clone(&self.prog),
-            mem: self.mem.snapshot(),
-            cycle: self.cycle,
-            seq_counter: self.seq_counter,
-            halted: self.halted,
-            fetch_pc: self.fetch_pc,
-            fetch_stall_until: self.fetch_stall_until,
-            fetch_block: self.fetch_block,
-            last_fetch_line: self.last_fetch_line,
-            bp: self.bp.clone(),
-            rename: self.rename.clone(),
-            rename_stall_until: self.rename_stall_until,
-            int_div_busy_until: self.int_div_busy_until,
-            fp_div_busy_until: self.fp_div_busy_until,
-            lsq_forwards: self.lsq.forwards,
-            hier: self.hier.clone(),
-            arch_regs: self.arch_regs,
-            unit: self.unit.clone(),
-            tier_detailed: self.tier_detailed,
-            roi_open_cycle: self.roi_open_cycle,
-            roi_spans: self.roi_spans.clone(),
-            trace: self.trace.clone(),
-            stats: self.stats,
-            last_commit_cycle: self.last_commit_cycle,
-        })
+        Ok(Checkpoint { state: self.state.clone(), mem: self.mem.snapshot() })
     }
 
     /// Is the machine at a drained point — no µops in flight anywhere?
@@ -651,70 +669,22 @@ impl Simulator {
 
     /// Become the checkpointed machine, bit for bit.
     ///
-    /// Persistent state is copied from the checkpoint; the memory rolls
-    /// back through its dirty-page log (O(dirty pages) when this
+    /// The `MachineState` is copied from the checkpoint; the memory
+    /// rolls back through its dirty-page log (O(dirty pages) when this
     /// simulator is synchronized with `cp`'s snapshot — always the case
     /// in a restore-patch-run loop — and a full image copy otherwise,
-    /// which still skips the decode). Transient structures (frontend,
-    /// ROB, issue queue, completion calendar, LSQ, branch checkpoints)
-    /// were empty at checkpoint time by the quiesce gate, so they reset
-    /// in place, keeping their allocations. A run after `restore_from` is cycle-for-cycle,
-    /// event-for-event identical to a run of a freshly built simulator
-    /// with the same program image (asserted by the golden tests in
-    /// `tests/checkpoint.rs` and the fuzzer's fork oracle).
+    /// which still skips the decode). The in-flight structures were empty
+    /// at checkpoint time by the quiesce gate, so they reset in place,
+    /// keeping their allocations. A run after `restore_from` is
+    /// cycle-for-cycle, event-for-event identical to a run of a freshly
+    /// built simulator with the same program image (asserted by the
+    /// golden tests in `tests/checkpoint.rs` and the fuzzer's fork
+    /// oracle).
     pub fn restore_from(&mut self, cp: &Checkpoint) {
         let restore_start = std::time::Instant::now();
-        // Persistent state.
-        self.config = cp.config;
-        self.prog = Arc::clone(&cp.prog);
+        self.state.clone_from(&cp.state);
         self.mem.restore(&cp.mem);
-        self.cycle = cp.cycle;
-        self.seq_counter = cp.seq_counter;
-        self.halted = cp.halted;
-        self.fetch_pc = cp.fetch_pc;
-        self.fetch_stall_until = cp.fetch_stall_until;
-        self.fetch_block = cp.fetch_block;
-        self.last_fetch_line = cp.last_fetch_line;
-        self.bp.clone_from(&cp.bp);
-        self.rename.clone_from(&cp.rename);
-        self.rename_stall_until = cp.rename_stall_until;
-        self.int_div_busy_until = cp.int_div_busy_until;
-        self.fp_div_busy_until = cp.fp_div_busy_until;
-        self.hier.clone_from(&cp.hier);
-        self.arch_regs = cp.arch_regs;
-        self.unit.clone_from(&cp.unit);
-        self.tier_detailed = cp.tier_detailed;
-        self.roi_open_cycle = cp.roi_open_cycle;
-        self.roi_spans.clear();
-        self.roi_spans.extend_from_slice(&cp.roi_spans);
-        self.trace.clone_from(&cp.trace);
-        self.stats = cp.stats;
-        self.last_commit_cycle = cp.last_commit_cycle;
-        // Host-side skip diagnostics restart with the forked trial.
-        self.skipped_cycles = 0;
-        self.skips = 0;
-        // Transient state: empty at the checkpoint, so reset in place.
-        self.frontend.clear();
-        self.rob.reset(cp.config.core.rob_entries);
-        self.iq.clear();
-        self.iq.resize(cp.config.core.rob_entries, IqEntry::EMPTY);
-        self.iq_ready.clear();
-        self.iq_ready.resize(cp.config.core.rob_entries.div_ceil(64), 0);
-        self.iq_count_int = 0;
-        self.iq_count_fp = 0;
-        let total_phys = cp.config.core.int_phys_regs + cp.config.core.fp_phys_regs;
-        self.reg_waiters.resize_with(total_phys, Vec::new);
-        for w in &mut self.reg_waiters {
-            w.clear();
-        }
-        self.lsq.reset(cp.config.core.lq_entries, cp.config.core.sq_entries);
-        self.lsq.forwards = cp.lsq_forwards;
-        self.replay_lsq_version = 0;
-        self.events.clear();
-        self.replay.clear();
-        self.ras_checkpoints.clear();
-        self.rename_blocked_on = None;
-        self.due_scratch.clear();
+        self.reset_transient();
         // The host ledger accumulates across restores (one request =
         // many trials); only rebuild/take reset it.
         self.host.restore_ns += elapsed_ns(restore_start);
@@ -727,51 +697,7 @@ impl Simulator {
     /// worker's simulator via [`Simulator::restore_from`].
     #[must_use]
     pub fn from_checkpoint(cp: &Checkpoint) -> Simulator {
-        let config = cp.config;
-        let mut sim = Simulator {
-            config,
-            prog: Arc::clone(&cp.prog),
-            mem: Memory::new(),
-            cycle: 0,
-            seq_counter: 0,
-            halted: false,
-            fetch_pc: 0,
-            fetch_stall_until: 0,
-            fetch_block: FetchBlock::None,
-            last_fetch_line: None,
-            frontend: VecDeque::new(),
-            bp: cp.bp.clone(),
-            rename: cp.rename.clone(),
-            rob: Rob::new(config.core.rob_entries),
-            iq: vec![IqEntry::EMPTY; config.core.rob_entries],
-            iq_ready: vec![0; config.core.rob_entries.div_ceil(64)],
-            iq_count_int: 0,
-            iq_count_fp: 0,
-            reg_waiters: vec![Vec::new(); config.core.int_phys_regs + config.core.fp_phys_regs],
-            lsq: Lsq::new(config.core.lq_entries, config.core.sq_entries),
-            events: Calendar::new(),
-            replay: Vec::new(),
-            replay_lsq_version: 0,
-            rat_checkpoints: Vec::new(),
-            ras_checkpoints: RasCheckpoints::default(),
-            rename_blocked_on: None,
-            rename_stall_until: 0,
-            int_div_busy_until: 0,
-            fp_div_busy_until: 0,
-            hier: cp.hier.clone(),
-            arch_regs: cp.arch_regs,
-            unit: cp.unit.clone(),
-            tier_detailed: cp.tier_detailed,
-            roi_open_cycle: cp.roi_open_cycle,
-            roi_spans: cp.roi_spans.clone(),
-            trace: cp.trace.clone(),
-            stats: cp.stats,
-            last_commit_cycle: 0,
-            skipped_cycles: 0,
-            skips: 0,
-            host: HostProfile::default(),
-            due_scratch: Vec::new(),
-        };
+        let mut sim = Self::with_state(cp.state.clone(), Memory::new());
         sim.restore_from(cp);
         sim
     }
@@ -797,7 +723,7 @@ impl Simulator {
         if r.is_zero() {
             0
         } else {
-            self.arch_regs[r.index()]
+            self.state.arch_regs[r.index()]
         }
     }
 
@@ -815,20 +741,19 @@ impl Simulator {
     /// The observation trace (empty unless `record_trace` was set).
     #[must_use]
     pub fn trace(&self) -> &ObservationTrace {
-        &self.trace
+        &self.state.trace
     }
 
     /// Statistics so far (cache/bpred/sempe counters are snapshotted).
     #[must_use]
     pub fn stats(&self) -> SimStats {
-        let mut s = self.stats;
-        s.cycles = self.cycle;
-        s.il1 = self.hier.il1_stats();
-        s.dl1 = self.hier.dl1_stats();
-        s.l2 = self.hier.l2_stats();
-        s.bpred = self.bp.stats();
-        s.sempe = self.unit.stats();
-        s.load_forwards = self.lsq.forwards;
+        let mut s = self.state.stats;
+        s.cycles = self.state.cycle;
+        s.il1 = self.state.hier.il1_stats();
+        s.dl1 = self.state.hier.dl1_stats();
+        s.l2 = self.state.hier.l2_stats();
+        s.bpred = self.state.bp.stats();
+        s.sempe = self.state.unit.stats();
         s
     }
 
@@ -840,7 +765,7 @@ impl Simulator {
     /// ([`ObservationTrace::window`]).
     #[must_use]
     pub fn roi_spans(&self) -> &[(u64, u64)] {
-        &self.roi_spans
+        &self.state.roi_spans
     }
 
     /// Host-side cycle-skip diagnostics: `(cycles fast-forwarded, skip
@@ -909,7 +834,6 @@ impl Simulator {
         deadline: Option<std::time::Instant>,
     ) -> Result<SimResult, SimError> {
         let run_start = std::time::Instant::now();
-        self.size_branch_checkpoints();
         let result = self.run_loop(max_cycles, deadline);
         self.host.run_ns += elapsed_ns(run_start);
         self.host.runs += 1;
@@ -922,14 +846,16 @@ impl Simulator {
         deadline: Option<std::time::Instant>,
     ) -> Result<SimResult, SimError> {
         let mut quantum = 0u32;
-        while !self.halted {
-            if self.cycle >= max_cycles {
+        while !self.state.halted {
+            if self.state.cycle >= max_cycles {
                 return Err(SimError::CyclesExhausted { max_cycles });
             }
-            if self.cycle.saturating_sub(self.last_commit_cycle) > self.config.watchdog_cycles {
+            if self.state.cycle.saturating_sub(self.state.last_commit_cycle)
+                > self.state.config.watchdog_cycles
+            {
                 return Err(SimError::Watchdog {
-                    cycle: self.cycle,
-                    fetch_pc: self.fetch_pc,
+                    cycle: self.state.cycle,
+                    fetch_pc: self.state.fetch_pc,
                     rob_head_pc: self.rob.head().map(|e| e.pc),
                 });
             }
@@ -939,8 +865,8 @@ impl Simulator {
                     quantum = 0;
                     if std::time::Instant::now() >= d {
                         return Err(SimError::HostDeadline {
-                            cycle: self.cycle,
-                            committed: self.stats.committed,
+                            cycle: self.state.cycle,
+                            committed: self.state.stats.committed,
                         });
                     }
                 }
@@ -950,7 +876,9 @@ impl Simulator {
             // `stats.committed` (never `cycle`); the `continue` re-enters
             // with `tier_detailed` set so detailed execution resumes at
             // the boundary.
-            if self.config.stepping == Stepping::Tiered && !self.tier_detailed && self.is_quiesced()
+            if self.state.config.stepping == Stepping::Tiered
+                && !self.state.tier_detailed
+                && self.is_quiesced()
             {
                 self.fast_forward_segment(max_cycles, deadline)?;
                 continue;
@@ -958,12 +886,12 @@ impl Simulator {
             // A skip moves `cycle` without ticking; loop back around so
             // the budget and watchdog bounds are re-checked at the new
             // cycle exactly as classic stepping would have checked them.
-            if self.config.stepping != Stepping::Classic && self.try_skip(max_cycles) {
+            if self.state.config.stepping != Stepping::Classic && self.try_skip(max_cycles) {
                 continue;
             }
             self.tick()?;
         }
-        self.trace.total_cycles = self.cycle;
+        self.state.trace.total_cycles = self.state.cycle;
         Ok(SimResult { halted: true, stats: self.stats() })
     }
 
@@ -996,8 +924,8 @@ impl Simulator {
             return wake;
         }
         wake = wake.earliest(self.fetch_wake());
-        wake = wake.earliest(self.hier.wake());
-        wake.earliest(match self.unit.next_event_cycle() {
+        wake = wake.earliest(self.state.hier.wake());
+        wake.earliest(match self.state.unit.next_event_cycle() {
             None => Wake::Idle,
             Some(c) => Wake::At(c),
         })
@@ -1009,32 +937,35 @@ impl Simulator {
     /// deadline so both errors fire at exactly the cycle classic
     /// stepping reports them.
     fn try_skip(&mut self, max_cycles: u64) -> bool {
-        let deadline =
-            self.last_commit_cycle.saturating_add(self.config.watchdog_cycles).saturating_add(1);
+        let deadline = self
+            .state
+            .last_commit_cycle
+            .saturating_add(self.state.config.watchdog_cycles)
+            .saturating_add(1);
         let bound = max_cycles.min(deadline);
         let target = match self.next_wake() {
             Wake::Now => return false,
             Wake::At(t) => t.min(bound),
             Wake::Idle => bound,
         };
-        if target <= self.cycle {
+        if target <= self.state.cycle {
             return false;
         }
-        let span = target - self.cycle;
+        let span = target - self.state.cycle;
         // Bulk-account the per-cycle counters the skipped ticks would
         // have incremented. The only one is the rename drain stall; its
         // predicate is constant across the span: `rename_blocked_on`
         // only changes at commit/squash (events, which end a skip), and
         // `rename_wake` caps the jump at `rename_stall_until` whenever
         // the timer is still running.
-        if self.rename_blocked_on.is_some() || self.cycle < self.rename_stall_until {
-            self.stats.drain_stall_cycles += span;
+        if self.rename_blocked_on.is_some() || self.state.cycle < self.state.rename_stall_until {
+            self.state.stats.drain_stall_cycles += span;
         }
         self.skipped_cycles += span;
         self.skips += 1;
         self.host.skipped_cycles += span;
         self.host.skips += 1;
-        self.cycle = target;
+        self.state.cycle = target;
         true
     }
 
@@ -1043,8 +974,8 @@ impl Simulator {
     /// to the pipeline — and never inside an explicit measurement
     /// window.
     fn ff_permitted(&self) -> bool {
-        !self.unit.in_secure_region()
-            && crate::tier::ff_window_allows(self.config.roi, self.stats.committed)
+        !self.state.unit.in_secure_region()
+            && crate::tier::ff_window_allows(self.state.config.roi, self.state.stats.committed)
     }
 
     /// Execute one functional fast-forward segment: from the current
@@ -1063,27 +994,31 @@ impl Simulator {
         // In any detailed run `committed <= retire_width * cycles`, so
         // this bound only fires where classic stepping would also have
         // run out of its cycle budget.
-        let budget = max_cycles.saturating_mul(self.config.core.retire_width as u64);
+        let budget = max_cycles.saturating_mul(self.state.config.core.retire_width as u64);
         let mut ff = FastForward {
-            prog: &self.prog,
+            prog: &self.state.prog,
             mem: &mut self.mem,
-            regs: &mut self.arch_regs,
-            last_fetch_line: &mut self.last_fetch_line,
-            warm: FullWarmup::new(&mut self.hier, &mut self.bp, self.config.core.sq_entries),
-            pc: self.fetch_pc,
-            committed: self.stats.committed,
+            regs: &mut self.state.arch_regs,
+            last_fetch_line: &mut self.state.last_fetch_line,
+            warm: FullWarmup::new(
+                &mut self.state.hier,
+                &mut self.state.bp,
+                self.state.config.core.sq_entries,
+            ),
+            pc: self.state.fetch_pc,
+            committed: self.state.stats.committed,
             executed: 0,
         };
-        let stop = ff.run(self.config.roi, budget, deadline);
+        let stop = ff.run(self.state.config.roi, budget, deadline);
         let (pc, committed, executed, warm_ns) =
             (ff.pc, ff.committed, ff.executed, ff.warm.warm_ns());
-        self.fetch_pc = pc;
-        self.stats.committed = committed;
-        self.stats.ff_committed += executed;
+        self.state.fetch_pc = pc;
+        self.state.stats.committed = committed;
+        self.state.stats.ff_committed += executed;
         if executed > 0 {
             // Fast-forwarded instructions are forward progress as far as
             // the wedge watchdog is concerned.
-            self.last_commit_cycle = self.cycle;
+            self.state.last_commit_cycle = self.state.cycle;
         }
         self.host.ff_instructions += executed;
         self.host.ff_ns += elapsed_ns(ff_start);
@@ -1094,28 +1029,29 @@ impl Simulator {
                 // architectural registers (the machine is quiesced, so
                 // this is the same RAT rebuild the eosJMP restore does).
                 for r in Reg::all() {
-                    self.rename.poke_arch(r, self.arch_regs[r.index()]);
+                    self.state.rename.poke_arch(r, self.state.arch_regs[r.index()]);
                 }
                 // Detailed execution resumes cleanly at the boundary PC;
                 // mid-gap fetch stalls belong to the fast-forwarded past.
-                self.fetch_block = FetchBlock::None;
-                self.fetch_stall_until = self.cycle;
-                self.tier_detailed = true;
+                self.state.fetch_block = FetchBlock::None;
+                self.state.fetch_stall_until = self.state.cycle;
+                self.state.tier_detailed = true;
                 Ok(())
             }
             FfStop::Fault(e) => Err(SimError::Exec(e)),
             FfStop::Budget => Err(SimError::CyclesExhausted { max_cycles }),
-            FfStop::Deadline => {
-                Err(SimError::HostDeadline { cycle: self.cycle, committed: self.stats.committed })
-            }
+            FfStop::Deadline => Err(SimError::HostDeadline {
+                cycle: self.state.cycle,
+                committed: self.state.stats.committed,
+            }),
         }
     }
 
     /// Next-event report of the completion calendar.
     fn events_wake(&self) -> Wake {
-        match self.events.next_due(self.cycle) {
+        match self.events.next_due(self.state.cycle) {
             None => Wake::Idle,
-            Some(due) if due <= self.cycle => Wake::Now,
+            Some(due) if due <= self.state.cycle => Wake::Now,
             Some(due) => Wake::At(due),
         }
     }
@@ -1156,12 +1092,12 @@ impl Simulator {
             // Dissolves at the sJMP's commit or squash — event-driven.
             return Wake::Idle;
         }
-        if self.cycle < self.rename_stall_until {
+        if self.state.cycle < self.state.rename_stall_until {
             // Also bounds the drain-stall bulk accounting in `try_skip`.
-            return Wake::At(self.rename_stall_until);
+            return Wake::At(self.state.rename_stall_until);
         }
         let Some(fe) = self.frontend.front() else { return Wake::Idle };
-        if fe.ready_cycle > self.cycle {
+        if fe.ready_cycle > self.state.cycle {
             return Wake::At(fe.ready_cycle);
         }
         match self.rename_gate(&fe.inst) {
@@ -1174,15 +1110,15 @@ impl Simulator {
 
     /// Next-event report of the fetch stage.
     fn fetch_wake(&self) -> Wake {
-        if self.fetch_block != FetchBlock::None {
+        if self.state.fetch_block != FetchBlock::None {
             // Eos/Halt/BadPc blocks dissolve at a commit or squash.
             return Wake::Idle;
         }
-        if self.frontend.len() >= self.config.core.frontend_queue {
+        if self.frontend.len() >= self.state.config.core.frontend_queue {
             return Wake::Idle;
         }
-        if self.cycle < self.fetch_stall_until {
-            return Wake::At(self.fetch_stall_until);
+        if self.state.cycle < self.state.fetch_stall_until {
+            return Wake::At(self.state.fetch_stall_until);
         }
         Wake::Now
     }
@@ -1190,7 +1126,7 @@ impl Simulator {
     /// Advance one cycle.
     fn tick(&mut self) -> Result<(), SimError> {
         self.commit_stage()?;
-        if self.halted {
+        if self.state.halted {
             return Ok(());
         }
         self.complete_stage();
@@ -1198,26 +1134,30 @@ impl Simulator {
         self.issue_stage();
         self.rename_stage()?;
         self.fetch_stage();
-        self.cycle += 1;
+        self.state.cycle += 1;
         Ok(())
     }
 
     // ---------------------------------------------------------- tracing
 
     fn trace_event(&mut self, ev: TraceEvent) {
-        if self.config.record_trace {
-            self.trace.push(self.cycle, ev);
+        if self.state.config.record_trace {
+            self.state.trace.push(self.state.cycle, ev);
         }
     }
 
     fn trace_cache(&mut self, l1: CacheLevel, result: crate::cache::AccessResult) {
-        if !self.config.record_trace {
+        if !self.state.config.record_trace {
             return;
         }
-        self.trace.push(self.cycle, TraceEvent::Cache { level: l1, hit: result.l1_hit });
+        self.state
+            .trace
+            .push(self.state.cycle, TraceEvent::Cache { level: l1, hit: result.l1_hit });
         if !result.l1_hit {
-            self.trace
-                .push(self.cycle, TraceEvent::Cache { level: CacheLevel::L2, hit: result.l2_hit });
+            self.state.trace.push(
+                self.state.cycle,
+                TraceEvent::Cache { level: CacheLevel::L2, hit: result.l2_hit },
+            );
         }
     }
 
@@ -1228,48 +1168,50 @@ impl Simulator {
         // to a quiesced point and hands off to fast-forward; in-flight
         // work (including squash redirects) still settles `fetch_pc` on
         // the correct committed path first.
-        if self.config.stepping == Stepping::Tiered && !self.tier_detailed {
+        if self.state.config.stepping == Stepping::Tiered && !self.state.tier_detailed {
             return;
         }
-        if self.fetch_block != FetchBlock::None || self.cycle < self.fetch_stall_until {
+        if self.state.fetch_block != FetchBlock::None
+            || self.state.cycle < self.state.fetch_stall_until
+        {
             return;
         }
-        for _ in 0..self.config.core.fetch_width {
-            if self.frontend.len() >= self.config.core.frontend_queue {
+        for _ in 0..self.state.config.core.fetch_width {
+            if self.frontend.len() >= self.state.config.core.frontend_queue {
                 break;
             }
-            let Some((inst, len)) = self.prog.try_fetch(self.fetch_pc) else {
+            let Some((inst, len)) = self.state.prog.try_fetch(self.state.fetch_pc) else {
                 // Wrong-path garbage; wait for the squash that must come.
-                self.fetch_block = FetchBlock::BadPc;
+                self.state.fetch_block = FetchBlock::BadPc;
                 break;
             };
             // Instruction-cache timing, one access per line transition.
-            let line = self.fetch_pc / FETCH_LINE_BYTES;
-            if self.last_fetch_line != Some(line) {
-                let r = self.hier.fetch_access(self.fetch_pc);
+            let line = self.state.fetch_pc / FETCH_LINE_BYTES;
+            if self.state.last_fetch_line != Some(line) {
+                let r = self.state.hier.fetch_access(self.state.fetch_pc);
                 self.trace_cache(CacheLevel::Il1, r);
-                self.last_fetch_line = Some(line);
+                self.state.last_fetch_line = Some(line);
                 if !r.l1_hit {
-                    self.fetch_stall_until = self.cycle + r.latency;
+                    self.state.fetch_stall_until = self.state.cycle + r.latency;
                     break;
                 }
             }
 
-            let pc = self.fetch_pc;
+            let pc = self.state.fetch_pc;
             let next_seq = pc + len as Addr;
-            let seq = self.seq_counter;
-            self.seq_counter += 1;
-            self.stats.fetched += 1;
+            let seq = self.state.seq_counter;
+            self.state.seq_counter += 1;
+            self.state.stats.fetched += 1;
 
             let mut fe = FrontendEntry {
                 seq,
                 pc,
                 inst,
                 len: len as u8,
-                ready_cycle: self.cycle + 2, // decode pipeline depth
+                ready_cycle: self.state.cycle + 2, // decode pipeline depth
                 pred_taken: false,
                 pred_target: 0,
-                ghr_before: self.bp.ghr(),
+                ghr_before: self.state.bp.ghr(),
                 ras: None,
             };
 
@@ -1282,11 +1224,11 @@ impl Simulator {
                         fe.pred_taken = false;
                         fe.pred_target = next_seq;
                     } else {
-                        let (taken, ghr_before) = self.bp.predict_cond(pc);
+                        let (taken, ghr_before) = self.state.bp.predict_cond(pc);
                         fe.pred_taken = taken;
                         fe.ghr_before = ghr_before;
                         fe.pred_target = if taken { inst.branch_target(pc, len) } else { next_seq };
-                        fe.ras = Some(self.ras_checkpoints.take(self.bp.ras()));
+                        fe.ras = Some(self.ras_checkpoints.take(self.state.bp.ras()));
                         if taken {
                             next_pc = fe.pred_target;
                             end_group = true;
@@ -1295,7 +1237,7 @@ impl Simulator {
                 }
                 Opcode::Jal => {
                     if inst.rd == Reg::RA {
-                        self.bp.on_call(next_seq);
+                        self.state.bp.on_call(next_seq);
                     }
                     next_pc = inst.branch_target(pc, len);
                     fe.pred_target = next_pc;
@@ -1303,9 +1245,9 @@ impl Simulator {
                 }
                 Opcode::Jalr => {
                     let predicted = if inst.rd == Reg::X0 && inst.rs1 == Reg::RA {
-                        self.bp.predict_return().unwrap_or(next_seq)
+                        self.state.bp.predict_return().unwrap_or(next_seq)
                     } else {
-                        let (t, _) = self.bp.predict_indirect(pc);
+                        let (t, _) = self.state.bp.predict_indirect(pc);
                         if t == 0 {
                             next_seq
                         } else {
@@ -1313,23 +1255,23 @@ impl Simulator {
                         }
                     };
                     fe.pred_target = predicted;
-                    fe.ras = Some(self.ras_checkpoints.take(self.bp.ras()));
+                    fe.ras = Some(self.ras_checkpoints.take(self.state.bp.ras()));
                     next_pc = predicted;
                     end_group = true;
                 }
                 Opcode::EosJmp => {
-                    self.fetch_block = FetchBlock::Eos;
+                    self.state.fetch_block = FetchBlock::Eos;
                     end_group = true;
                 }
                 Opcode::Halt => {
-                    self.fetch_block = FetchBlock::Halt;
+                    self.state.fetch_block = FetchBlock::Halt;
                     end_group = true;
                 }
                 _ => {}
             }
 
             self.frontend.push_back(fe);
-            self.fetch_pc = next_pc;
+            self.state.fetch_pc = next_pc;
             if end_group {
                 break;
             }
@@ -1361,8 +1303,8 @@ impl Simulator {
         }
         if Self::requires_iq(inst) {
             let (occupancy, cap) = match Self::iq_class(inst) {
-                IqClass::Int => (self.iq_count_int, self.config.core.int_iq_entries),
-                IqClass::Fp => (self.iq_count_fp, self.config.core.fp_iq_entries),
+                IqClass::Int => (self.iq_count_int, self.state.config.core.int_iq_entries),
+                IqClass::Fp => (self.iq_count_fp, self.state.config.core.fp_iq_entries),
             };
             if occupancy >= cap {
                 return RenameGate::Blocked;
@@ -1374,22 +1316,26 @@ impl Simulator {
         if inst.op.is_store() && !self.lsq.can_alloc_store() {
             return RenameGate::Blocked;
         }
-        let is_sjmp_active = inst.is_sjmp() && self.config.mode == SecurityMode::Sempe;
-        if is_sjmp_active && !self.unit.can_issue_sjmp() {
+        let is_sjmp_active = inst.is_sjmp() && self.state.config.mode == SecurityMode::Sempe;
+        if is_sjmp_active && !self.state.unit.can_issue_sjmp() {
             // Either a transient stall (the previous sJMP has not
             // committed its jbTable entry yet, or a wrong path will be
             // squashed) or a genuine nesting overflow. It is genuine
             // exactly when nothing older remains that could squash us:
             // the paper makes this a run-time exception (§IV-E).
-            if self.unit.jbtable().depth() >= self.unit.jbtable().capacity() && self.rob.is_empty()
+            if self.state.unit.jbtable().depth() >= self.state.unit.jbtable().capacity()
+                && self.rob.is_empty()
             {
                 return RenameGate::NestingFault;
             }
             return RenameGate::Blocked;
         }
         if let Some(rd) = inst.dest() {
-            let free =
-                if rd.is_fp() { self.rename.free_fp_count() } else { self.rename.free_int_count() };
+            let free = if rd.is_fp() {
+                self.state.rename.free_fp_count()
+            } else {
+                self.state.rename.free_int_count()
+            };
             if free == 0 {
                 return RenameGate::Blocked;
             }
@@ -1398,13 +1344,13 @@ impl Simulator {
     }
 
     fn rename_stage(&mut self) -> Result<(), SimError> {
-        if self.cycle < self.rename_stall_until || self.rename_blocked_on.is_some() {
-            self.stats.drain_stall_cycles += 1;
+        if self.state.cycle < self.state.rename_stall_until || self.rename_blocked_on.is_some() {
+            self.state.stats.drain_stall_cycles += 1;
             return Ok(());
         }
-        for _ in 0..self.config.core.rename_width {
+        for _ in 0..self.state.config.core.rename_width {
             let Some(fe) = self.frontend.front() else { break };
-            if fe.ready_cycle > self.cycle {
+            if fe.ready_cycle > self.state.cycle {
                 break;
             }
             let inst = fe.inst;
@@ -1412,12 +1358,12 @@ impl Simulator {
                 RenameGate::Blocked => break,
                 RenameGate::NestingFault => {
                     return Err(SimError::Sempe(SempeFault::NestingOverflow {
-                        capacity: self.unit.jbtable().capacity(),
+                        capacity: self.state.unit.jbtable().capacity(),
                     }));
                 }
                 RenameGate::Proceed => {}
             }
-            let is_sjmp_active = inst.is_sjmp() && self.config.mode == SecurityMode::Sempe;
+            let is_sjmp_active = inst.is_sjmp() && self.state.config.mode == SecurityMode::Sempe;
 
             let fe = self.frontend.pop_front().expect("peeked above");
             let mut entry = RobEntry::new(fe.seq, fe.pc, inst, fe.len);
@@ -1428,15 +1374,15 @@ impl Simulator {
 
             // Sources resolve against the pre-rename RAT.
             let srcs = inst.sources();
-            let rs1 = srcs[0].map(|r| self.rename.map(r));
-            let rs2 = srcs[1].map(|r| self.rename.map(r));
+            let rs1 = srcs[0].map(|r| self.state.rename.map(r));
+            let rs2 = srcs[1].map(|r| self.state.rename.map(r));
             let old_dest = if inst.reads_dest() && !inst.rd.is_zero() {
-                Some(self.rename.map(inst.rd))
+                Some(self.state.rename.map(inst.rd))
             } else {
                 None
             };
             if let Some(rd) = inst.dest() {
-                let (fresh, old) = self.rename.rename_dest(rd).expect("gated above");
+                let (fresh, old) = self.state.rename.rename_dest(rd).expect("gated above");
                 entry.phys_dest = Some(fresh);
                 entry.old_phys = Some(old);
             }
@@ -1447,7 +1393,7 @@ impl Simulator {
                 self.lsq.alloc_load();
             }
             if is_sjmp_active {
-                self.unit.on_sjmp_issue()?;
+                self.state.unit.on_sjmp_issue()?;
                 entry.is_sjmp = true;
             }
 
@@ -1460,14 +1406,14 @@ impl Simulator {
             // Squash-recovery checkpoint for everything that can
             // mispredict.
             if (inst.op.is_cond_branch() && !is_sjmp_active) || inst.op == Opcode::Jalr {
-                self.rat_checkpoints[slot] = self.rename.checkpoint();
+                self.rat_checkpoints[slot] = self.state.rename.checkpoint();
             }
             if needs_iq {
                 self.iq_insert(slot, seq, Self::iq_class(&inst), [rs1, rs2, old_dest]);
             }
-            self.stats.renamed += 1;
+            self.state.stats.renamed += 1;
 
-            if is_sjmp_active && self.config.sempe.drains_enabled {
+            if is_sjmp_active && self.state.config.sempe.drains_enabled {
                 // Drain #1: nothing younger renames until the sJMP commits
                 // and the initial snapshot is in the scratchpad. The
                 // drainless ablation (insecure: a real part could not
@@ -1497,7 +1443,7 @@ impl Simulator {
     /// Reference readiness check; the wakeup machinery must agree with it
     /// (asserted in debug builds at selection time).
     fn entry_ready(&self, e: &IqEntry) -> bool {
-        [e.rs1, e.rs2, e.old_dest].iter().flatten().all(|p| self.rename.is_ready(*p))
+        [e.rs1, e.rs2, e.old_dest].iter().flatten().all(|p| self.state.rename.is_ready(*p))
     }
 
     /// Insert a renamed µop into the issue queue at its ROB slot,
@@ -1506,7 +1452,7 @@ impl Simulator {
     fn iq_insert(&mut self, slot: RobSlot, seq: u64, class: IqClass, srcs: [Option<PhysReg>; 3]) {
         let mut pending = 0u8;
         for p in srcs.into_iter().flatten() {
-            if !self.rename.is_ready(p) {
+            if !self.state.rename.is_ready(p) {
                 pending += 1;
                 self.reg_waiters[p as usize].push((slot as u32, seq));
             }
@@ -1578,7 +1524,7 @@ impl Simulator {
                     bits &= (1 << (hi - base)) - 1;
                 }
                 while bits != 0 {
-                    if issued_total >= self.config.core.issue_width {
+                    if issued_total >= self.state.config.core.issue_width {
                         return;
                     }
                     let slot = base + bits.trailing_zeros() as usize;
@@ -1599,7 +1545,7 @@ impl Simulator {
         debug_assert!(iq.active && self.entry_ready(&iq), "ready mask out of sync");
         let op = self.rob.get(slot).expect("queued µop is live").inst.op;
         if op.is_load() {
-            if *issued_loads >= self.config.core.load_issue_width {
+            if *issued_loads >= self.state.config.core.load_issue_width {
                 return false;
             }
             *issued_loads += 1;
@@ -1608,22 +1554,22 @@ impl Simulator {
         // hazard): one op occupies the unit for its full latency.
         match op {
             Opcode::Div | Opcode::Rem | Opcode::Divu | Opcode::Remu => {
-                if self.cycle < self.int_div_busy_until {
+                if self.state.cycle < self.state.int_div_busy_until {
                     return false;
                 }
-                self.int_div_busy_until = self.cycle + self.config.lat.div;
+                self.state.int_div_busy_until = self.state.cycle + self.state.config.lat.div;
             }
             Opcode::Fdiv => {
-                if self.cycle < self.fp_div_busy_until {
+                if self.state.cycle < self.state.fp_div_busy_until {
                     return false;
                 }
-                self.fp_div_busy_until = self.cycle + self.config.lat.fp_div;
+                self.state.fp_div_busy_until = self.state.cycle + self.state.config.lat.fp_div;
             }
             _ => {}
         }
         self.execute_uop(slot, &iq);
         self.iq_release(slot);
-        self.stats.issued += 1;
+        self.state.stats.issued += 1;
         true
     }
 
@@ -1634,24 +1580,24 @@ impl Simulator {
     /// clamping keeps that invariant explicit (and preserves the old scan
     /// semantics for hypothetical zero-latency configurations).
     fn schedule(&mut self, seq: u64, slot: RobSlot, cycle: u64) {
-        let due = cycle.max(self.cycle + 1);
-        self.events.push(self.cycle, due, Event::new(seq, slot));
+        let due = cycle.max(self.state.cycle + 1);
+        self.events.push(self.state.cycle, due, Event::new(seq, slot));
     }
 
     /// Begin execution of one µop: compute functionally, record the
     /// completion's payload in its ROB entry, and schedule it.
     fn execute_uop(&mut self, slot: RobSlot, iq: &IqEntry) {
-        let read = |p: Option<PhysReg>| p.map_or(0, |p| self.rename.value(p));
+        let read = |p: Option<PhysReg>| p.map_or(0, |p| self.state.rename.value(p));
         let v1 = read(iq.rs1);
         let v2 = read(iq.rs2);
         let vold = read(iq.old_dest);
         let seq = iq.seq;
-        let agu = self.config.lat.agu;
+        let agu = self.state.config.lat.agu;
         let Some(e) = self.rob.get_checked(slot, seq) else { return };
         let inst = e.inst;
         let len = e.len as usize;
         let next_pc = e.next_pc();
-        let lat = Self::op_latency(&self.config.lat, inst.op);
+        let lat = Self::op_latency(&self.state.config.lat, inst.op);
 
         let latency = match inst.op {
             op if op.is_load() => {
@@ -1712,7 +1658,7 @@ impl Simulator {
             }
         };
         match latency {
-            Some(lat) => self.schedule(seq, slot, self.cycle + lat),
+            Some(lat) => self.schedule(seq, slot, self.state.cycle + lat),
             None => self.start_load(seq, slot, agu),
         }
     }
@@ -1724,7 +1670,7 @@ impl Simulator {
         let width = access_width(e.inst.op);
         match self.lsq.check_load(seq, e.mem_addr, width) {
             LoadCheck::Wait(blocker) => {
-                self.stats.load_replays += 1;
+                self.state.stats.load_replays += 1;
                 self.lsq.park(blocker);
                 self.replay.push(ParkedLoad { seq, slot, blocker });
             }
@@ -1739,10 +1685,13 @@ impl Simulator {
         let e = self.rob.get(slot).expect("served load is live");
         let (pc, addr, width) = (e.pc, e.mem_addr, access_width(e.inst.op));
         let (value, latency) = match verdict {
-            LoadCheck::Forward(value) => (value, 1),
+            LoadCheck::Forward(value) => {
+                self.state.stats.load_forwards += 1;
+                (value, 1)
+            }
             LoadCheck::Proceed => {
                 let value = semantics::load(&self.mem, width, addr);
-                let r = self.hier.data_access(pc, addr, false);
+                let r = self.state.hier.data_access(pc, addr, false);
                 self.trace_cache(CacheLevel::Dl1, r);
                 (value, r.latency)
             }
@@ -1751,7 +1700,7 @@ impl Simulator {
         let e = self.rob.get_checked(slot, seq).expect("served load is live");
         e.result = value;
         e.wb = Writeback::Load;
-        self.schedule(seq, slot, self.cycle + agu + latency);
+        self.schedule(seq, slot, self.state.cycle + agu + latency);
     }
 
     /// The replay pass. It runs on every cycle the store queue changed
@@ -1789,7 +1738,7 @@ impl Simulator {
                 }
             }
         }
-        self.stats.load_replays += self.replay.len() as u64;
+        self.state.stats.load_replays += self.replay.len() as u64;
     }
 
     // --------------------------------------------------------- complete
@@ -1797,7 +1746,7 @@ impl Simulator {
     fn complete_stage(&mut self) {
         // Everything due now, in program (seq) order.
         let mut due = std::mem::take(&mut self.due_scratch);
-        self.events.drain_due(self.cycle, &mut due);
+        self.events.drain_due(self.state.cycle, &mut due);
         for ev in &due {
             let slot = ev.slot as RobSlot;
             // Validate against squashes that happened since scheduling.
@@ -1831,7 +1780,7 @@ impl Simulator {
     /// wake the µops waiting on it.
     fn writeback(&mut self, phys: Option<PhysReg>, value: u64) {
         if let Some(p) = phys {
-            self.rename.write(p, value);
+            self.state.rename.write(p, value);
             self.wake_reg(p);
         }
     }
@@ -1839,7 +1788,7 @@ impl Simulator {
     /// Squash everything younger than the mispredicting branch in `slot`
     /// and restart fetch down the correct path.
     fn squash_from(&mut self, slot: RobSlot, seq: u64) {
-        self.stats.squashes += 1;
+        self.state.stats.squashes += 1;
         let e = self.rob.get(slot).expect("squash source exists");
         debug_assert_eq!(e.seq, seq);
         let (redirect_to, ghr_before, ras, is_cond, actual_taken) =
@@ -1852,7 +1801,7 @@ impl Simulator {
                 self.iq_release(dead_slot);
             }
             if let Some(p) = dead.phys_dest {
-                self.rename.free(p);
+                self.state.rename.free(p);
             }
             if dead.inst.op.is_load() && !dead.done {
                 // Its LQ slot is still held iff the load hasn't completed.
@@ -1861,7 +1810,7 @@ impl Simulator {
                 self.lsq.release_load();
             }
             if dead.is_sjmp {
-                self.unit.on_sjmp_squash();
+                self.state.unit.on_sjmp_squash();
             }
             if dead.ras.is_some() {
                 oldest_dead_ras = dead.ras;
@@ -1871,7 +1820,7 @@ impl Simulator {
             self.ras_checkpoints.release_from(h);
         }
         // Restore the RAT from the branch's checkpoint.
-        self.rename.restore(&self.rat_checkpoints[slot]);
+        self.state.rename.restore(&self.rat_checkpoints[slot]);
         // Drop queue state belonging to squashed µops. Waiter records
         // referring to released entries invalidate lazily via their
         // (slot, seq) tags.
@@ -1888,26 +1837,26 @@ impl Simulator {
         // recovers to an empty stack.
         let snapshot = ras.map_or(&[][..], |h| self.ras_checkpoints.get(h));
         if is_cond {
-            self.bp.recover_cond(ghr_before, actual_taken, snapshot);
+            self.state.bp.recover_cond(ghr_before, actual_taken, snapshot);
         } else {
-            self.bp.recover_indirect(ghr_before, snapshot);
+            self.state.bp.recover_indirect(ghr_before, snapshot);
         }
         // Rename block held by a squashed sJMP dissolves.
         if self.rename_blocked_on.is_some_and(|b| b > seq) {
             self.rename_blocked_on = None;
         }
         // Fetch restart.
-        self.fetch_pc = redirect_to;
-        self.fetch_block = FetchBlock::None;
-        self.last_fetch_line = None;
-        self.fetch_stall_until = self.cycle + self.config.core.mispredict_penalty;
+        self.state.fetch_pc = redirect_to;
+        self.state.fetch_block = FetchBlock::None;
+        self.state.last_fetch_line = None;
+        self.state.fetch_stall_until = self.state.cycle + self.state.config.core.mispredict_penalty;
         self.trace_event(TraceEvent::Redirect { target: redirect_to });
     }
 
     // ------------------------------------------------------------ commit
 
     fn commit_stage(&mut self) -> Result<(), SimError> {
-        for _ in 0..self.config.core.retire_width {
+        for _ in 0..self.state.config.core.retire_width {
             let Some(head) = self.rob.head() else { break };
             if !head.done {
                 break;
@@ -1917,7 +1866,7 @@ impl Simulator {
                 // An architectural fault reached commit: in a SecBlock the
                 // paper routes this to the exception handler (§IV-G); we
                 // surface it either way.
-                if self.unit.in_secure_region() {
+                if self.state.unit.in_secure_region() {
                     return Err(SimError::Sempe(SempeFault::FaultInSecBlock {
                         pc: head.pc,
                         what: fault.to_string(),
@@ -1930,24 +1879,24 @@ impl Simulator {
             if let Some(h) = entry.ras {
                 self.ras_checkpoints.release_oldest(h);
             }
-            self.last_commit_cycle = self.cycle;
-            self.stats.committed += 1;
-            if self.unit.in_secure_region() {
-                self.stats.secure_committed += 1;
+            self.state.last_commit_cycle = self.state.cycle;
+            self.state.stats.committed += 1;
+            if self.state.unit.in_secure_region() {
+                self.state.stats.secure_committed += 1;
             }
             // Explicit measurement window: ROI opens at the commit of
             // instruction `skip + 1` and closes at `skip + insts`.
             // Commit-anchored, so the accounting is identical across
             // stepping modes (skip never moves commit cycles).
-            if let Roi::Window { skip, insts } = self.config.roi {
+            if let Roi::Window { skip, insts } = self.state.config.roi {
                 if insts > 0 {
-                    if self.stats.committed == skip.saturating_add(1) {
-                        self.roi_open_cycle = Some(self.cycle);
+                    if self.state.stats.committed == skip.saturating_add(1) {
+                        self.state.roi_open_cycle = Some(self.state.cycle);
                     }
-                    if self.stats.committed == skip.saturating_add(insts) {
+                    if self.state.stats.committed == skip.saturating_add(insts) {
                         self.close_roi_span();
-                        if self.config.stepping == Stepping::Tiered {
-                            self.tier_detailed = !self.ff_permitted();
+                        if self.state.config.stepping == Stepping::Tiered {
+                            self.state.tier_detailed = !self.ff_permitted();
                         }
                     }
                 }
@@ -1957,14 +1906,14 @@ impl Simulator {
             // Register state.
             if let Some(p) = entry.phys_dest {
                 let rd = entry.inst.rd;
-                debug_assert!(self.rename.is_ready(p), "commit of not-ready dest");
-                self.arch_regs[rd.index()] = self.rename.value(p);
-                if self.unit.in_secure_region() {
-                    self.unit.note_commit_write(rd);
+                debug_assert!(self.state.rename.is_ready(p), "commit of not-ready dest");
+                self.state.arch_regs[rd.index()] = self.state.rename.value(p);
+                if self.state.unit.in_secure_region() {
+                    self.state.unit.note_commit_write(rd);
                 }
             }
             if let Some(old) = entry.old_phys {
-                self.rename.free(old);
+                self.state.rename.free(old);
             }
 
             // Memory state.
@@ -1975,7 +1924,7 @@ impl Simulator {
                 let s = self.lsq.commit_store(entry.store_id).expect("store present at commit");
                 let addr = s.addr.expect("resolved before done");
                 semantics::store(&mut self.mem, s.width, addr, s.data);
-                let r = self.hier.data_access(entry.pc, addr, true);
+                let r = self.state.hier.data_access(entry.pc, addr, true);
                 self.trace_cache(CacheLevel::Dl1, r);
                 self.trace_event(TraceEvent::MemWrite { addr });
             }
@@ -1984,28 +1933,28 @@ impl Simulator {
             match entry.inst.op {
                 op if op.is_cond_branch() => {
                     if entry.is_sjmp {
-                        let was_outside = !self.unit.in_secure_region();
+                        let was_outside = !self.state.unit.in_secure_region();
                         // Secure branch: no predictor interaction at all.
-                        let eff = self.unit.on_sjmp_commit(
+                        let eff = self.state.unit.on_sjmp_commit(
                             entry.actual_target,
                             entry.actual_taken,
-                            &self.arch_regs,
+                            &self.state.arch_regs,
                         )?;
                         // An outermost sJMP commit opens an ROI span.
-                        if was_outside && self.config.roi == Roi::Regions {
-                            self.roi_open_cycle = Some(self.cycle);
+                        if was_outside && self.state.config.roi == Roi::Regions {
+                            self.state.roi_open_cycle = Some(self.state.cycle);
                         }
                         // Drain #1 + initial snapshot spill: rename resumes
                         // after the scratchpad transfer. The drainless
                         // ablation overlaps the spill with execution.
-                        if self.config.sempe.drains_enabled {
+                        if self.state.config.sempe.drains_enabled {
                             debug_assert!(self.rename_blocked_on == Some(entry.seq));
                             self.rename_blocked_on = None;
-                            self.rename_stall_until = self.cycle + eff.spm_cycles;
+                            self.state.rename_stall_until = self.state.cycle + eff.spm_cycles;
                         }
                         break; // region boundary: stop committing this cycle
                     } else {
-                        self.bp.commit_cond(entry.pc, entry.ghr_before, entry.actual_taken);
+                        self.state.bp.commit_cond(entry.pc, entry.ghr_before, entry.actual_taken);
                         self.trace_event(TraceEvent::BpredUpdate {
                             pc: entry.pc,
                             taken: entry.actual_taken,
@@ -2015,43 +1964,48 @@ impl Simulator {
                 Opcode::Jalr => {
                     let is_ret = entry.inst.rd == Reg::X0 && entry.inst.rs1 == Reg::RA;
                     if !is_ret {
-                        self.bp.commit_indirect(entry.pc, entry.ghr_before, entry.actual_target);
+                        self.state.bp.commit_indirect(
+                            entry.pc,
+                            entry.ghr_before,
+                            entry.actual_target,
+                        );
                     }
                 }
                 Opcode::EosJmp => {
                     debug_assert!(self.rob.is_empty(), "eosJMP commits into a drained window");
-                    let eff = self.unit.on_eosjmp_commit(&mut self.arch_regs)?;
+                    let eff = self.state.unit.on_eosjmp_commit(&mut self.state.arch_regs)?;
                     // Resynchronize the physical file with the restored
                     // architectural state (window is empty, so this is the
                     // hardware's RAT rebuild).
                     for r in Reg::all() {
-                        self.rename.poke_arch(r, self.arch_regs[r.index()]);
+                        self.state.rename.poke_arch(r, self.state.arch_regs[r.index()]);
                     }
                     let target = eff.redirect.unwrap_or_else(|| entry.next_pc());
-                    self.fetch_pc = target;
-                    self.fetch_block = FetchBlock::None;
-                    self.last_fetch_line = None;
-                    self.fetch_stall_until =
-                        self.cycle + self.config.core.eos_redirect_penalty + eff.spm_cycles;
+                    self.state.fetch_pc = target;
+                    self.state.fetch_block = FetchBlock::None;
+                    self.state.last_fetch_line = None;
+                    self.state.fetch_stall_until = self.state.cycle
+                        + self.state.config.core.eos_redirect_penalty
+                        + eff.spm_cycles;
                     self.trace_event(TraceEvent::Redirect { target });
                     // The eosJMP that returns to depth zero closes the
                     // region's ROI span, and (tiered) re-opens the
                     // fast-forward gate unless an explicit window says
                     // otherwise. The machine is quiesced right after
                     // this commit — the natural handoff point.
-                    if !self.unit.in_secure_region() {
-                        if self.config.roi == Roi::Regions {
+                    if !self.state.unit.in_secure_region() {
+                        if self.state.config.roi == Roi::Regions {
                             self.close_roi_span();
                         }
-                        if self.config.stepping == Stepping::Tiered {
-                            self.tier_detailed = !self.ff_permitted();
+                        if self.state.config.stepping == Stepping::Tiered {
+                            self.state.tier_detailed = !self.ff_permitted();
                         }
                     }
                     break; // drain boundary
                 }
                 Opcode::Halt => {
-                    self.halted = true;
-                    self.trace.total_cycles = self.cycle;
+                    self.state.halted = true;
+                    self.state.trace.total_cycles = self.state.cycle;
                     // A HALT inside an open ROI (window never closed, or
                     // a region left unterminated) closes the span here
                     // so partial ROIs are still accounted.
@@ -2067,19 +2021,19 @@ impl Simulator {
     /// Close the currently open ROI span (if any) at the current cycle:
     /// account `roi_cycles` and record the span.
     fn close_roi_span(&mut self) {
-        if let Some(open) = self.roi_open_cycle.take() {
-            self.stats.roi_cycles += self.cycle - open;
-            self.roi_spans.push((open, self.cycle));
+        if let Some(open) = self.state.roi_open_cycle.take() {
+            self.state.stats.roi_cycles += self.state.cycle - open;
+            self.state.roi_spans.push((open, self.state.cycle));
         }
     }
 }
 
-/// A self-contained snapshot of a quiesced [`Simulator`]: full
-/// architectural state (registers, memory) plus every persistent piece
-/// of microarchitectural state (RAT and physical register files, branch
-/// predictor tables, cache hierarchy and prefetchers, SeMPE unit,
-/// statistics baseline, observation trace) and the shared decoded
-/// program.
+/// A self-contained snapshot of a quiesced [`Simulator`]: a copy of its
+/// `MachineState` — architectural registers, RAT and physical register
+/// files, branch predictor tables, cache hierarchy and prefetchers,
+/// SeMPE unit, statistics baseline, observation trace and the shared
+/// decoded program — plus a memory snapshot. In-flight structures are
+/// empty at a quiesced point and are not captured.
 ///
 /// Created by [`Simulator::checkpoint`]; consumed by
 /// [`Simulator::restore_from`] / [`Simulator::from_checkpoint`]. Share
@@ -2088,44 +2042,21 @@ impl Simulator {
 /// re-decoding, or re-growing a simulator.
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
-    config: SimConfig,
-    prog: Arc<DecodedProgram>,
+    state: MachineState,
     mem: MemSnapshot,
-    cycle: u64,
-    seq_counter: u64,
-    halted: bool,
-    fetch_pc: Addr,
-    fetch_stall_until: u64,
-    fetch_block: FetchBlock,
-    last_fetch_line: Option<u64>,
-    bp: BranchPredictor,
-    rename: RenameState,
-    rename_stall_until: u64,
-    int_div_busy_until: u64,
-    fp_div_busy_until: u64,
-    lsq_forwards: u64,
-    hier: MemHierarchy,
-    arch_regs: [u64; NUM_ARCH_REGS],
-    unit: SempeUnit,
-    tier_detailed: bool,
-    roi_open_cycle: Option<u64>,
-    roi_spans: Vec<(u64, u64)>,
-    trace: ObservationTrace,
-    stats: SimStats,
-    last_commit_cycle: u64,
 }
 
 impl Checkpoint {
     /// The configuration the checkpointed machine runs under.
     #[must_use]
     pub fn config(&self) -> &SimConfig {
-        &self.config
+        &self.state.config
     }
 
     /// The shared decoded program.
     #[must_use]
     pub fn decoded(&self) -> &Arc<DecodedProgram> {
-        &self.prog
+        &self.state.prog
     }
 
     /// Pages captured in the memory snapshot.

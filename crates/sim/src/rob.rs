@@ -135,8 +135,7 @@ impl Rob {
 
     /// Reset to the pristine empty state of `Rob::new(capacity)`,
     /// recycling the slot vector's allocation where the capacity allows.
-    /// Used by checkpoint restore, whose quiesce gate guarantees nothing
-    /// in flight is being dropped.
+    /// Any entries still in flight are dropped.
     pub fn reset(&mut self, capacity: usize) {
         self.slots.clear();
         self.slots.resize(capacity, None);

@@ -204,3 +204,63 @@ fn checkpoint_after_halt_resumes_nothing_but_restores_exactly() {
     assert_eq!(restored.stats().committed, res.stats.committed);
     assert_eq!(cw.read_outputs(restored.mem()), cw.read_outputs(sim.mem()));
 }
+
+/// A second program for the arena test below: different code, data and
+/// secure regions from [`MODEXP`].
+const PREFIX_SUMS: &str = r"
+    secret s = 5;
+    var acc = 0;
+    var i = 0;
+    array buf[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+    while (i < 8) bound 9 {
+        if secret ((s >> i) & 1) { acc = acc + buf[i]; } else { acc = acc - 1; }
+        buf[i] = acc;
+        i = i + 1;
+    }
+    output acc;
+";
+
+#[test]
+fn restore_leaves_nothing_of_the_previous_program_and_stepping_mode() {
+    // A fork-server worker restores into whatever simulator its last job
+    // left behind. Run a different program under tiered stepping first;
+    // the restored run must still match a cold run in every statistic,
+    // ROI span, architectural register, output and trace event.
+    let parsed = parse_wir(PREFIX_SUMS).expect("parses");
+    let other = compile(&parsed.program, Backend::Sempe).expect("compiles");
+    for (backend, config) in backends() {
+        let cw = compile_modexp(backend);
+        let mut cold = Simulator::new(cw.program(), config).expect("builds");
+        let cold_stats = cold.run(FUEL).expect("halts").stats;
+        let cp = Simulator::new(cw.program(), config)
+            .expect("builds")
+            .checkpoint()
+            .expect("quiesced right after construction");
+
+        let mut sim =
+            Simulator::new(other.program(), SimConfig::paper().with_tiered().with_trace())
+                .expect("builds");
+        let previous = sim.run(FUEL).expect("halts").stats;
+        assert!(previous.ff_committed > 0, "the previous job fast-forwarded");
+        sim.restore_from(&cp);
+        let stats = sim.run(FUEL).expect("halts").stats;
+
+        let what = format!("{backend:?}");
+        assert_eq!(stats, cold_stats, "{what}: statistics drift");
+        assert_eq!(sim.roi_spans(), cold.roi_spans(), "{what}: ROI span drift");
+        for r in sempe_isa::reg::Reg::all() {
+            assert_eq!(sim.arch_reg(r), cold.arch_reg(r), "{what}: {r:?} drift");
+        }
+        assert_eq!(cw.read_outputs(sim.mem()), cw.read_outputs(cold.mem()), "{what}: outputs");
+        assert_eq!(first_divergence(cold.trace(), sim.trace(), Strictness::Full), None, "{what}");
+
+        // The same after a job cut off with µops in flight.
+        sim.rebuild(other.program(), SimConfig::paper().with_tiered()).expect("builds");
+        assert!(sim.run(300).is_err(), "300 cycles end before HALT");
+        assert!(sim.checkpoint().is_err(), "{what}: the cut leaves µops in flight");
+        sim.restore_from(&cp);
+        let stats = sim.run(FUEL).expect("halts").stats;
+        assert_eq!(stats, cold_stats, "{what}: statistics drift after a cut-off job");
+        assert_eq!(first_divergence(cold.trace(), sim.trace(), Strictness::Full), None, "{what}");
+    }
+}

@@ -3,7 +3,8 @@
 
 use sempe_compile::wir::{Expr, WirBuilder};
 use sempe_compile::{compile, Backend};
-use sempe_sim::{SimConfig, Simulator};
+use sempe_isa::reg::Reg;
+use sempe_sim::{Roi, SimConfig, SimStats, Simulator};
 
 fn modexp_prog(key: u64) -> sempe_compile::WirProgram {
     let mut b = WirBuilder::new();
@@ -50,6 +51,25 @@ fn modexp_prog(key: u64) -> sempe_compile::WirProgram {
     b.build()
 }
 
+/// Everything a finished run leaves readable: the whole statistics
+/// block, the ROI spans, every architectural register and the outputs.
+#[derive(Debug, PartialEq)]
+struct Facts {
+    stats: SimStats,
+    roi_spans: Vec<(u64, u64)>,
+    regs: Vec<u64>,
+    outputs: Vec<u64>,
+}
+
+fn facts(sim: &Simulator, stats: SimStats, cw: &sempe_compile::CompiledWorkload) -> Facts {
+    Facts {
+        stats,
+        roi_spans: sim.roi_spans().to_vec(),
+        regs: Reg::all().map(|r| sim.arch_reg(r)).collect(),
+        outputs: cw.read_outputs(sim.mem()),
+    }
+}
+
 #[test]
 fn rebuild_matches_fresh_construction_exactly() {
     let cases = [
@@ -57,14 +77,24 @@ fn rebuild_matches_fresh_construction_exactly() {
         (compile(&modexp_prog(0b1011), Backend::Baseline).unwrap(), SimConfig::baseline()),
         (compile(&modexp_prog(0b0010), Backend::Sempe).unwrap(), SimConfig::paper().with_trace()),
         (compile(&modexp_prog(0b1111), Backend::Cte).unwrap(), SimConfig::baseline()),
+        // Tiered runs move the `tier_*`/`roi_*` state; the next rebuild
+        // (into a skip-stepped case, or the other ROI policy) must not
+        // inherit any of it.
+        (compile(&modexp_prog(0b0110), Backend::Sempe).unwrap(), SimConfig::paper().with_tiered()),
+        (
+            compile(&modexp_prog(0b1001), Backend::Baseline).unwrap(),
+            SimConfig::baseline().with_tiered().with_roi(Roi::Window { skip: 20, insts: 30 }),
+        ),
     ];
 
     // Cold reference: a fresh simulator per case.
     let mut reference = Vec::new();
+    let mut full_reference = Vec::new();
     for (cw, config) in &cases {
         let mut sim = Simulator::new(cw.program(), *config).expect("builds");
         let res = sim.run(50_000_000).expect("halts");
         reference.push((res.cycles(), res.committed(), cw.read_outputs(sim.mem())));
+        full_reference.push(facts(&sim, res.stats, cw));
     }
 
     // Warm arena: one simulator rebuilt across all cases, twice over, in
@@ -77,6 +107,11 @@ fn rebuild_matches_fresh_construction_exactly() {
             let res = arena.run(50_000_000).expect("halts");
             let got = (res.cycles(), res.committed(), cw.read_outputs(arena.mem()));
             assert_eq!(got, reference[i], "round {round} case {i} diverged after rebuild");
+            assert_eq!(
+                facts(&arena, res.stats, cw),
+                full_reference[i],
+                "round {round} case {i}: state leaked through rebuild"
+            );
         }
     }
 
@@ -90,6 +125,35 @@ fn rebuild_matches_fresh_construction_exactly() {
             let res = sim.run(50_000_000).expect("halts");
             let got = (res.cycles(), res.committed(), cw.read_outputs(sim.mem()));
             assert_eq!(got, reference[i], "round {round} case {i} diverged via rebuild_or_new");
+            assert_eq!(
+                facts(sim, res.stats, cw),
+                full_reference[i],
+                "round {round} case {i}: state leaked through rebuild_or_new"
+            );
         }
     }
+}
+
+#[test]
+fn rebuild_after_a_run_cut_off_mid_flight_matches_fresh_construction() {
+    // A service job that runs out of cycles leaves µops in flight (ROB,
+    // LSQ, completion calendar, parked loads); the next job's rebuild
+    // must drop every one of them.
+    let cw = compile(&modexp_prog(0b1011), Backend::Sempe).unwrap();
+    let config = SimConfig::paper();
+    let mut fresh = Simulator::new(cw.program(), config).expect("builds");
+    let res = fresh.run(50_000_000).expect("halts");
+    let want = facts(&fresh, res.stats, &cw);
+
+    let mut arena = Simulator::new(cw.program(), config).expect("builds");
+    let mut mid_flight = 0;
+    for budget in (50..=800).step_by(50) {
+        assert!(arena.run(budget).is_err(), "budget {budget} ends before HALT");
+        mid_flight += u32::from(arena.checkpoint().is_err());
+        arena.rebuild(cw.program(), config).expect("rebuilds");
+        let res = arena.run(50_000_000).expect("halts");
+        assert_eq!(facts(&arena, res.stats, &cw), want, "rebuild after a cut at {budget}");
+        arena.rebuild(cw.program(), config).expect("rebuilds");
+    }
+    assert!(mid_flight > 0, "some cut must leave µops in flight");
 }
