@@ -1,8 +1,8 @@
 //! A small, dependency-free JSON value: parse, build, serialize.
 //!
-//! One JSON implementation serves the whole workspace — the
-//! `sempe-service` wire protocol and the bench harness report files —
-//! so the two can never drift. Design points:
+//! This is the workspace's one JSON grammar. The `sempe-service` wire
+//! protocol, its router and the bench harness report files all read
+//! JSON through it, so no two readers can drift. Design points:
 //!
 //! * **Deterministic output.** Object members keep insertion order and
 //!   serialization is byte-stable, so identical values encode to
@@ -11,9 +11,16 @@
 //! * **Exact integers.** `u64`/`i64` round-trip exactly (cycle counts and
 //!   program outputs use the full 64-bit range); floats are only used
 //!   where the data is genuinely real-valued (ratios, seconds).
-//! * **std only.** No serde; the parser is a ~150-line recursive descent.
+//! * **One tokenizer, two readers.** One recursive-descent tokenizer
+//!   holds the whitespace, string, escape, number and depth rules.
+//!   [`parse`] builds a [`Json`] tree with it; [`object`] validates a
+//!   line with it exactly as `parse` would and keeps each top-level
+//!   member's raw span, for callers that forward a line mostly
+//!   untouched (the router's hot path) and cannot afford the tree.
+//! * **std only.** No serde.
 
 use core::fmt;
+use std::borrow::Cow;
 
 /// A JSON value. Object members preserve insertion order.
 #[derive(Debug, Clone, PartialEq)]
@@ -300,29 +307,38 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-struct JsonParser<'a> {
-    src: &'a [u8],
-    pos: usize,
-    depth: usize,
-}
-
 /// Nesting limit: the protocol never nests deeper than a handful of
 /// levels; this bounds stack use on adversarial input.
 const MAX_DEPTH: usize = 64;
 
-impl<'a> JsonParser<'a> {
+/// The one JSON tokenizer. [`parse`] builds a [`Json`] tree with it and
+/// [`object`] validates with it, so both accept exactly the same input.
+/// A value read with `BUILD` false is checked against the same grammar
+/// and depth limit but allocates nothing; the returned value is then a
+/// placeholder.
+struct Reader<'a> {
+    src: &'a str,
+    pos: usize,
+    depth: usize,
+}
+
+impl<'a> Reader<'a> {
+    fn new(src: &'a str) -> Self {
+        Reader { src, pos: 0, depth: 0 }
+    }
+
     fn err(&self, message: impl Into<String>) -> JsonError {
         JsonError { pos: self.pos, message: message.into() }
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.src.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn eat(&mut self, c: u8) -> Result<(), JsonError> {
@@ -335,7 +351,7 @@ impl<'a> JsonParser<'a> {
     }
 
     fn eat_lit(&mut self, lit: &str, value: Json) -> Result<Json, JsonError> {
-        if self.src[self.pos..].starts_with(lit.as_bytes()) {
+        if self.src.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(value)
         } else {
@@ -343,7 +359,17 @@ impl<'a> JsonParser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
+    /// Trailing whitespace, then the end of the input.
+    fn finish(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos == self.src.len() {
+            Ok(())
+        } else {
+            Err(self.err("trailing garbage after value"))
+        }
+    }
+
+    fn value<const BUILD: bool>(&mut self) -> Result<Json, JsonError> {
         self.depth += 1;
         if self.depth > MAX_DEPTH {
             return Err(self.err("nesting too deep"));
@@ -353,10 +379,34 @@ impl<'a> JsonParser<'a> {
             Some(b'n') => self.eat_lit("null", Json::Null),
             Some(b't') => self.eat_lit("true", Json::Bool(true)),
             Some(b'f') => self.eat_lit("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            Some(b'"') => self.string::<BUILD>().map(Json::Str),
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.seq(b'[', b']', |r| {
+                    let item = r.value::<BUILD>()?;
+                    if BUILD {
+                        items.push(item);
+                    }
+                    Ok(())
+                })
+                .map(|()| Json::Arr(items))
+            }
+            Some(b'{') => {
+                let mut members = Vec::new();
+                self.seq(b'{', b'}', |r| {
+                    r.skip_ws();
+                    let key = r.string::<BUILD>()?;
+                    r.skip_ws();
+                    r.eat(b':')?;
+                    let value = r.value::<BUILD>()?;
+                    if BUILD {
+                        members.push((key, value));
+                    }
+                    Ok(())
+                })
+                .map(|()| Json::Obj(members))
+            }
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.number::<BUILD>(),
             Some(c) => Err(self.err(format!("unexpected character `{}`", c as char))),
             None => Err(self.err("unexpected end of input")),
         }?;
@@ -364,52 +414,111 @@ impl<'a> JsonParser<'a> {
         Ok(v)
     }
 
-    fn array(&mut self) -> Result<Json, JsonError> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
+    /// A bracketed, comma-separated sequence: `open`, then `item` once
+    /// per element, then `close`.
+    fn seq(
+        &mut self,
+        open: u8,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.eat(open)?;
         self.skip_ws();
-        if self.peek() == Some(b']') {
+        if self.peek() == Some(close) {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            return Ok(());
         }
         loop {
-            items.push(self.value()?);
+            item(self)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
-                Some(b']') => {
+                Some(c) if c == close => {
                     self.pos += 1;
-                    return Ok(Json::Arr(items));
+                    return Ok(());
                 }
-                _ => return Err(self.err("expected `,` or `]`")),
+                _ => return Err(self.err(format!("expected `,` or `{}`", close as char))),
             }
         }
     }
 
-    fn object(&mut self) -> Result<Json, JsonError> {
-        self.eat(b'{')?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(members));
-        }
+    fn string<const BUILD: bool>(&mut self) -> Result<String, JsonError> {
+        let mut out = String::new();
+        self.string_with(|piece| {
+            if BUILD {
+                out.push_str(piece);
+            }
+        })?;
+        Ok(out)
+    }
+
+    /// Read one string literal, handing its decoded text to `sink` in
+    /// pieces: each run of plain characters as written, each escape as
+    /// the character it stands for.
+    fn string_with(&mut self, mut sink: impl FnMut(&str)) -> Result<(), JsonError> {
+        self.eat(b'"')?;
+        let src = self.src;
         loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            members.push((key, self.value()?));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(members));
+            let start = self.pos;
+            while let Some(c) = self.peek() {
+                if c == b'"' || c == b'\\' || c < 0x20 {
+                    break;
                 }
-                _ => return Err(self.err("expected `,` or `}`")),
+                self.pos += 1;
+            }
+            if self.pos > start {
+                // A run ends at an ASCII byte, so it is whole UTF-8.
+                sink(&src[start..self.pos]);
+            }
+            match self.peek() {
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                Some(b'\\') => {
+                    self.pos += 1;
+                    let c = self.escape()?;
+                    sink(c.encode_utf8(&mut [0; 4]));
+                }
+                Some(_) => return Err(self.err("control character in string")),
+                None => return Err(self.err("unterminated string")),
             }
         }
+    }
+
+    /// Decode the escape after a backslash, `\u` surrogate pairs
+    /// included.
+    fn escape(&mut self) -> Result<char, JsonError> {
+        let esc = self.peek().ok_or_else(|| self.err("truncated escape"))?;
+        self.pos += 1;
+        Ok(match esc {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'b' => '\u{08}',
+            b'f' => '\u{0c}',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'u' => {
+                let hi = self.hex4()?;
+                let cp = if (0xd800..0xdc00).contains(&hi) {
+                    if !self.src.as_bytes()[self.pos..].starts_with(b"\\u") {
+                        return Err(self.err("unpaired surrogate"));
+                    }
+                    self.pos += 2;
+                    let lo = self.hex4()?;
+                    if !(0xdc00..0xe000).contains(&lo) {
+                        return Err(self.err("unpaired surrogate"));
+                    }
+                    0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00)
+                } else {
+                    hi
+                };
+                char::from_u32(cp).ok_or_else(|| self.err("invalid code point"))?
+            }
+            _ => return Err(self.err("unknown escape")),
+        })
     }
 
     fn hex4(&mut self) -> Result<u32, JsonError> {
@@ -428,71 +537,6 @@ impl<'a> JsonParser<'a> {
         Ok(v)
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            let start = self.pos;
-            // Fast path: copy a run of plain bytes at once.
-            while let Some(c) = self.peek() {
-                if c == b'"' || c == b'\\' || c < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
-            if self.pos > start {
-                let run = core::str::from_utf8(&self.src[start..self.pos])
-                    .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                out.push_str(run);
-            }
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("truncated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{08}'),
-                        b'f' => out.push('\u{0c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hi = self.hex4()?;
-                            let cp = if (0xd800..0xdc00).contains(&hi) {
-                                // Surrogate pair.
-                                if self.src[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let lo = self.hex4()?;
-                                    if !(0xdc00..0xe000).contains(&lo) {
-                                        return Err(self.err("unpaired surrogate"));
-                                    }
-                                    0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00)
-                                } else {
-                                    return Err(self.err("unpaired surrogate"));
-                                }
-                            } else {
-                                hi
-                            };
-                            out.push(
-                                char::from_u32(cp).ok_or_else(|| self.err("invalid code point"))?,
-                            );
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                Some(_) => return Err(self.err("control character in string")),
-                None => return Err(self.err("unterminated string")),
-            }
-        }
-    }
-
     /// Consume one or more decimal digits.
     fn digits(&mut self) -> Result<(), JsonError> {
         if !matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
@@ -505,7 +549,7 @@ impl<'a> JsonParser<'a> {
     }
 
     #[allow(clippy::cast_precision_loss)]
-    fn number(&mut self) -> Result<Json, JsonError> {
+    fn number<const BUILD: bool>(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
         // RFC 8259 §6: no leading zeros, and a fraction or exponent
         // needs at least one digit.
@@ -531,8 +575,10 @@ impl<'a> JsonParser<'a> {
             }
             self.digits()?;
         }
-        let text = core::str::from_utf8(&self.src[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
+        if !BUILD {
+            return Ok(Json::Null);
+        }
+        let text = &self.src[start..self.pos];
         if !fractional {
             // Integral tokens parse exactly: the full u64 range first,
             // then i64 for negatives — routing them through f64 would
@@ -559,13 +605,140 @@ impl<'a> JsonParser<'a> {
 ///
 /// [`JsonError`] with the byte offset of the first problem.
 pub fn parse(src: &str) -> Result<Json, JsonError> {
-    let mut p = JsonParser { src: src.as_bytes(), pos: 0, depth: 0 };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.src.len() {
-        return Err(p.err("trailing garbage after value"));
-    }
+    let mut r = Reader::new(src);
+    let v = r.value::<true>()?;
+    r.finish()?;
     Ok(v)
+}
+
+/// A JSON object read without building a tree: the decoded key and the
+/// raw value text of each top-level member, borrowed from the line.
+/// [`object`] validates the whole line exactly as [`parse`] does, nested
+/// values included.
+#[derive(Debug)]
+pub struct Object<'a> {
+    line: &'a str,
+    members: Vec<Member<'a>>,
+}
+
+#[derive(Debug)]
+struct Member<'a> {
+    /// The decoded key; borrowed from the line when it has no escapes.
+    key: Cow<'a, str>,
+    /// The value exactly as written.
+    value: &'a str,
+    /// Offset of the key's opening quote.
+    start: usize,
+    /// Offset one past the value.
+    end: usize,
+}
+
+/// Read `line` as one JSON object, keeping the raw span of each
+/// top-level member.
+///
+/// # Errors
+///
+/// [`JsonError`] exactly when [`parse`] fails or yields anything but a
+/// [`Json::Obj`].
+pub fn object(line: &str) -> Result<Object<'_>, JsonError> {
+    let mut r = Reader::new(line);
+    // The object itself is the first level, as `parse` counts depth.
+    r.depth = 1;
+    r.skip_ws();
+    let mut members = Vec::new();
+    r.seq(b'{', b'}', |r| {
+        r.skip_ws();
+        let start = r.pos;
+        r.string::<false>()?;
+        let quoted = &line[start..r.pos];
+        let inner = &quoted[1..quoted.len() - 1];
+        let key = if inner.contains('\\') {
+            Cow::Owned(Reader::new(quoted).string::<true>()?)
+        } else {
+            Cow::Borrowed(inner)
+        };
+        r.skip_ws();
+        r.eat(b':')?;
+        r.skip_ws();
+        let value_start = r.pos;
+        r.value::<false>()?;
+        members.push(Member { key, value: &line[value_start..r.pos], start, end: r.pos });
+        Ok(())
+    })?;
+    r.finish()?;
+    Ok(Object { line, members })
+}
+
+impl<'a> Object<'a> {
+    fn member(&self, key: &str) -> Option<&Member<'a>> {
+        self.members.iter().find(|m| m.key == key)
+    }
+
+    /// The value of the first member named `key`, exactly as written (a
+    /// string keeps its quotes and escapes). Same first-match rule as
+    /// [`Json::get`].
+    #[must_use]
+    pub fn raw(&self, key: &str) -> Option<&'a str> {
+        self.member(key).map(|m| m.value)
+    }
+
+    /// Hand the decoded text of string member `key` to `sink` in pieces,
+    /// allocating nothing. Returns false when the member is absent or not
+    /// a string.
+    pub fn str_with(&self, key: &str, sink: impl FnMut(&str)) -> bool {
+        self.raw(key)
+            .is_some_and(|raw| raw.starts_with('"') && Reader::new(raw).string_with(sink).is_ok())
+    }
+
+    /// The element count of array member `key`; `None` when the member
+    /// is absent or not an array.
+    #[must_use]
+    pub fn array_len(&self, key: &str) -> Option<usize> {
+        let raw = self.raw(key).filter(|raw| raw.starts_with('['))?;
+        let mut n = 0;
+        Reader::new(raw)
+            .seq(b'[', b']', |r| {
+                n += 1;
+                r.value::<false>().map(drop)
+            })
+            .ok()?;
+        Some(n)
+    }
+
+    /// The line with the first member named `key` cut out, commas kept
+    /// correct; the line unchanged when there is no such member. On a
+    /// compact line this is byte for byte what `parse`, removing the
+    /// member, and `encode` would produce.
+    #[must_use]
+    pub fn without(&self, key: &str) -> String {
+        let Some(m) = self.member(key) else {
+            return self.line.to_string();
+        };
+        let bytes = self.line.as_bytes();
+        let is_ws = |b: Option<&u8>| matches!(b, Some(b' ' | b'\t' | b'\r' | b'\n'));
+        let (mut start, mut end) = (m.start, m.end);
+        let mut after = end;
+        while is_ws(bytes.get(after)) {
+            after += 1;
+        }
+        if bytes.get(after) == Some(&b',') {
+            // Not the last member: take the comma that follows.
+            end = after + 1;
+        } else {
+            // The last member: take the comma before it, if any.
+            let mut before = start;
+            while before > 0 && is_ws(bytes.get(before - 1)) {
+                before -= 1;
+            }
+            if before > 0 && bytes[before - 1] == b',' {
+                start = before - 1;
+            }
+        }
+        let mut out = String::with_capacity(self.line.len() - (end - start));
+        out.push_str(&self.line[..start]);
+        out.push_str(&self.line[end..]);
+        out
+    }
 }
 
 #[cfg(test)]
@@ -675,5 +848,81 @@ mod tests {
         // documented lossy escape hatch, not a silent integer.
         assert!(matches!(parse("18446744073709551616").unwrap(), Json::F64(_)));
         assert!(matches!(parse("-9223372036854775809").unwrap(), Json::F64(_)));
+    }
+
+    #[test]
+    fn object_without_excises_comma_correctly_everywhere() {
+        let t = |l: &str, k: &str| object(l).expect("reads").without(k);
+        assert_eq!(t(r#"{"id":"x","a":1}"#, "id"), r#"{"a":1}"#);
+        assert_eq!(t(r#"{"a":1,"id":"x","b":2}"#, "id"), r#"{"a":1,"b":2}"#);
+        assert_eq!(t(r#"{"a":1,"id":"x"}"#, "id"), r#"{"a":1}"#);
+        assert_eq!(t(r#"{"id":"x"}"#, "id"), r"{}");
+        assert_eq!(t(r#"{"a":1}"#, "id"), r#"{"a":1}"#);
+        // Keys compare by their decoded text, first match only.
+        assert_eq!(t(r#"{"\u0069d":"x","id":"y"}"#, "id"), r#"{"id":"y"}"#);
+        // Spaced input stays parseable (not byte-identical).
+        let spaced = t(r#"{ "id" : "x" , "a" : 1 }"#, "id");
+        assert_eq!(parse(&spaced).expect("parses"), Json::obj().with("a", 1u64), "{spaced}");
+    }
+
+    #[test]
+    fn object_streams_the_decoded_string() {
+        for raw in [
+            r"plain text",
+            r"line\nbreaks\tand\\slashes\u0041",
+            r#"quoted \" inner"#,
+            r"surrogate 😀 raw",
+            "pair \\ud83d\\ude00 end",
+            "codepoint \\u0041\\u00e9",
+        ] {
+            let line = format!("{{\"source\":\"{raw}\"}}");
+            let parsed = parse(&line).expect("parses");
+            let expect = parsed.get("source").and_then(Json::as_str).expect("string");
+            let mut digest = crate::hash::Fnv1a::new();
+            let mut text = String::new();
+            assert!(object(&line).expect("reads").str_with("source", |piece| {
+                digest.write(piece.as_bytes());
+                text.push_str(piece);
+            }));
+            assert_eq!(text, expect);
+            assert_eq!(digest.finish(), crate::hash::fnv1a(expect.as_bytes()), "{raw:?}");
+        }
+        let o = object(r#"{"n":1}"#).expect("reads");
+        assert!(!o.str_with("n", |_| {}), "not a string");
+        assert!(!o.str_with("missing", |_| {}));
+        for bad in [r#"{"s":"\ud83d alone"}"#, r#"{"s":"\q"}"#] {
+            assert!(object(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn object_counts_array_elements() {
+        let o =
+            object(r#"{"a":[],"b":[1],"c":[1,"a,b",[2,3],{"k":[4,5]}],"d":{}}"#).expect("reads");
+        assert_eq!(o.array_len("a"), Some(0));
+        assert_eq!(o.array_len("b"), Some(1));
+        assert_eq!(o.array_len("c"), Some(4));
+        assert_eq!(o.array_len("d"), None, "not an array");
+        assert_eq!(o.array_len("missing"), None);
+    }
+
+    #[test]
+    fn object_rejects_what_parse_rejects_nested_or_not() {
+        for bad in [
+            r#"{"x":[tru]}"#,
+            r#"{"x":"\ud800"}"#,
+            r#"{"x":{"k" 1}}"#,
+            r#"{"max_cycles":[1,]}"#,
+            r#"{"a":1} extra"#,
+            r#"{"a":01}"#,
+            "[1,2]",
+        ] {
+            assert!(parse(bad).map_or(true, |v| !matches!(v, Json::Obj(_))), "{bad}");
+            assert!(object(bad).is_err(), "{bad}");
+        }
+        let deep = format!(r#"{{"a":{}{}}}"#, "[".repeat(64), "]".repeat(64));
+        assert!(parse(&deep).is_err() && object(&deep).is_err(), "depth limit");
+        let deep = format!(r#"{{"a":{}{}}}"#, "[".repeat(63), "]".repeat(63));
+        assert!(parse(&deep).is_ok() && object(&deep).is_ok(), "depth limit");
     }
 }

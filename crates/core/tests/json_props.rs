@@ -4,9 +4,14 @@
 //! floats, and strings full of escapes, controls, and astral-plane
 //! characters. The service's content-addressed cache keys responses by
 //! encoded bytes, so any drift here is silent cache corruption.
+//!
+//! The borrowed reader `object` must accept exactly the object lines
+//! `parse` accepts, and its raw member spans must agree with the tree:
+//! the router forwards what `object` accepts, and a shard answers what
+//! `parse` accepts.
 
 use proptest::prelude::*;
-use sempe_core::json::{parse, Json};
+use sempe_core::json::{object, parse, Json};
 
 fn arb_string() -> impl Strategy<Value = String> {
     prop::collection::vec(any::<u32>(), 0..12).prop_map(|cs| {
@@ -58,8 +63,75 @@ fn arb_json() -> impl Strategy<Value = Json> {
     })
 }
 
+/// An encoded object whose keys include `id` and `type` often enough
+/// for duplicates, next to arbitrary keys full of escapes.
+fn arb_object_line() -> impl Strategy<Value = String> {
+    let key = prop_oneof![Just("id".to_string()), Just("type".to_string()), arb_string()];
+    prop::collection::vec((key, arb_json()), 0..6).prop_map(|members| Json::Obj(members).encode())
+}
+
+/// Byte edits: drop, duplicate, swap, or insert a space.
+fn arb_edits() -> impl Strategy<Value = Vec<(u8, u64, u64)>> {
+    prop::collection::vec((any::<u8>(), any::<u64>(), any::<u64>()), 0..3)
+}
+
+fn mutate(line: &str, edits: &[(u8, u64, u64)]) -> String {
+    let mut bytes = line.as_bytes().to_vec();
+    for &(kind, i, j) in edits {
+        if bytes.is_empty() {
+            break;
+        }
+        let i = (i % bytes.len() as u64) as usize;
+        let j = (j % bytes.len() as u64) as usize;
+        match kind % 4 {
+            0 => {
+                bytes.remove(i);
+            }
+            1 => bytes.insert(i, bytes[i]),
+            2 => bytes.swap(i, j),
+            _ => bytes.insert(i, b' '),
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// `object` agrees with `parse` on `line`: same verdict, and for every
+/// first member of each key, its raw span, string text, array length
+/// and excision match the tree.
+fn check_object_reader(line: &str) {
+    let tree = parse(line);
+    let read = object(line);
+    assert_eq!(read.is_ok(), matches!(tree, Ok(Json::Obj(_))), "verdicts differ on {line}");
+    let (Ok(read), Ok(Json::Obj(members))) = (read, tree) else { return };
+    for (i, (key, value)) in members.iter().enumerate() {
+        if members[..i].iter().any(|(k, _)| k == key) {
+            continue; // lookups take the first match
+        }
+        let raw = read.raw(key).unwrap_or_else(|| panic!("member {key:?} missing in {line}"));
+        assert_eq!(&parse(raw).expect("a member span parses"), value, "{line}");
+        let mut text = String::new();
+        let is_str = read.str_with(key, |piece| text.push_str(piece));
+        assert_eq!(is_str, value.as_str().is_some(), "{line}");
+        assert_eq!(value.as_str().unwrap_or(""), text, "{line}");
+        assert_eq!(read.array_len(key), value.as_array().map(<[Json]>::len), "{line}");
+        let mut rest = members.clone();
+        rest.remove(i);
+        let cut = read.without(key);
+        assert_eq!(parse(&cut).ok(), Some(Json::Obj(rest)), "{line} without {key:?}: {cut}");
+    }
+    if !members.iter().any(|(k, _)| k == "id") {
+        assert_eq!(read.without("id"), line, "nothing to cut");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn object_reader_agrees_with_parse(line in arb_object_line(), edits in arb_edits()) {
+        check_object_reader(&line);
+        check_object_reader(&mutate(&line, &edits));
+    }
 
     #[test]
     fn parse_encode_is_the_identity(v in arb_json()) {

@@ -374,31 +374,17 @@ pub fn execute(
     arena: &mut Arena,
     forks: &ForkCache,
 ) -> Result<String, ServiceError> {
-    execute_with_deadline(req, arena, forks, None)
+    execute_traced(req, arena, forks, None, &mut Span::begin())
 }
 
-/// [`execute`] under an optional host wall-clock deadline: the running
-/// simulation polls it and bails with [`ErrorCode::Deadline`] (carrying
-/// partial stats) instead of pinning the worker until the cycle budget
-/// runs dry.
-///
-/// # Errors
-///
-/// As [`execute`].
-pub fn execute_with_deadline(
-    req: &Request,
-    arena: &mut Arena,
-    forks: &ForkCache,
-    deadline: Option<Instant>,
-) -> Result<String, ServiceError> {
-    execute_traced(req, arena, forks, deadline, &mut Span::begin())
-}
-
-/// [`execute_with_deadline`] with per-phase host-time attribution: the
-/// compile, checkpoint-restore, simulate, and encode portions of the
-/// request land in `span`, keyed by the phase names documented in
-/// `docs/observability.md`. The span only observes — the response bytes
-/// are identical with or without it.
+/// [`execute`] under an optional host wall-clock deadline, with
+/// per-phase host-time attribution. The running simulation polls the
+/// deadline and bails with [`ErrorCode::Deadline`] (carrying partial
+/// stats) instead of pinning the worker until the cycle budget runs
+/// dry. The compile, checkpoint-restore, simulate, and encode portions
+/// of the request land in `span`, keyed by the phase names documented
+/// in `docs/observability.md`. The span only observes — the response
+/// bytes are identical with or without it.
 ///
 /// # Errors
 ///
@@ -1223,7 +1209,8 @@ mod tests {
         };
         let start = Instant::now();
         let err =
-            execute_with_deadline(&req, &mut arena, &forks, Some(Instant::now())).unwrap_err();
+            execute_traced(&req, &mut arena, &forks, Some(Instant::now()), &mut Span::begin())
+                .unwrap_err();
         assert_eq!(err.code, ErrorCode::Deadline);
         assert!(start.elapsed() < std::time::Duration::from_secs(30), "deadline must cut the run");
         let partial = err.partial.expect("deadline errors carry partial progress");
@@ -1233,7 +1220,8 @@ mod tests {
         // the item count it managed.
         let req = batch_req(BackendSel::Baseline, &[1, 2], false);
         let err =
-            execute_with_deadline(&req, &mut arena, &forks, Some(Instant::now())).unwrap_err();
+            execute_traced(&req, &mut arena, &forks, Some(Instant::now()), &mut Span::begin())
+                .unwrap_err();
         assert_eq!(err.code, ErrorCode::Deadline);
         assert_eq!(
             err.partial.unwrap().get("items_done").and_then(Json::as_u64),
@@ -1251,7 +1239,7 @@ mod tests {
         };
         let relaxed = Instant::now() + std::time::Duration::from_secs(600);
         assert_eq!(
-            execute_with_deadline(&req, &mut arena, &forks, Some(relaxed)).unwrap(),
+            execute_traced(&req, &mut arena, &forks, Some(relaxed), &mut Span::begin()).unwrap(),
             execute(&req, &mut arena, &forks).unwrap()
         );
     }

@@ -61,7 +61,7 @@ pub mod server;
 pub mod sync;
 
 pub use cache::{CacheKey, ResultCache};
-pub use exec::{cache_key, execute, execute_with_deadline, Arena, ForkCache};
+pub use exec::{cache_key, execute, Arena, ForkCache};
 pub use fault::{FaultInjector, FaultPlan, FaultSite};
 pub use protocol::{BackendSel, Envelope, ErrorCode, Request, ServiceError};
 pub use router::{Router, RouterConfig, RouterHandle};

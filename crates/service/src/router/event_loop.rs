@@ -33,12 +33,12 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sempe_core::json::{self, Json};
+use sempe_core::hash::{fnv1a, Fnv1a};
+use sempe_core::json::{self, Json, Object};
 use sempe_core::telemetry::{Counter, Gauge, Histogram, Registry};
 
 use super::merge::{self, ChunkTerminal};
 use super::ring;
-use super::scan;
 use super::shard::Breaker;
 use super::{DialResult, RouterConfig, RouterShared};
 use crate::conn::{Conn, FrameEvent, Link, Mode};
@@ -456,26 +456,30 @@ impl RouterLoop {
         }
     }
 
-    /// The hot path: structurally scan a compute request and forward it
-    /// without ever building a `Json` tree. Returns false — with no
-    /// side effects — when the line needs the full-parse slow path:
-    /// inline ops, `batch` fan-out, structural surprises, or anything
-    /// that must produce a local validation error.
+    /// The hot path: read a compute request with [`json::object`] and
+    /// forward it without ever building a `Json` tree. Returns false —
+    /// with no side effects — when the slow path must answer the line:
+    /// JSON that `json::parse` rejects too (the slow path answers the
+    /// `E_PARSE` a direct server sends), inline or unknown ops, `batch`
+    /// fan-out, a v2 request without an id, an id that is escaped,
+    /// over-long or not a string or `u64`, and a request without a
+    /// string `source` (or a `batch` without array `inputs`), which the
+    /// slow path rejects.
     fn try_fast_path(&mut self, token: u64, line: &str, now: Instant) -> bool {
-        let Some(scanned) = scan::TopLevel::parse(line) else { return false };
-        let Some(slot) = scanned.value("type").and_then(scan::str_inner).and_then(op_slot) else {
+        let Ok(request) = json::object(line) else { return false };
+        let Some(slot) = request.raw("type").and_then(unquoted).and_then(op_slot) else {
             return false;
         };
         let op = COMPUTE_OPS[slot];
         // The raw id span doubles as the pre-encoded id. Escaped or
         // exotic ids take the slow path, which also produces the proper
         // error for the invalid ones.
-        let id: Option<String> = match scanned.value("id") {
+        let id: Option<String> = match request.raw("id") {
             None => None,
             Some(raw) => {
-                let valid = match scan::str_inner(raw) {
+                let valid = match unquoted(raw) {
                     Some(inner) => !inner.contains('\\'),
-                    None => !raw.is_empty() && raw.bytes().all(|b| b.is_ascii_digit()),
+                    None => raw.parse::<u64>().is_ok(),
                 };
                 if !valid || raw.len() > MAX_ID_BYTES {
                     return false;
@@ -490,21 +494,21 @@ impl RouterLoop {
         if mode == Mode::V2 && id.is_none() {
             return false; // slow path builds the mandatory-id error
         }
-        // Digest streamed over the escaped span — identical to fnv1a of
-        // the decoded source, so fast- and slow-path requests for the
+        // Digest streamed over the decoded source — identical to fnv1a of
+        // the parsed string, so fast- and slow-path requests for the
         // same program always land on the same shard.
-        let Some(digest) =
-            scanned.value("source").and_then(scan::str_inner).and_then(scan::fnv1a_unescaped)
-        else {
+        let mut source = Fnv1a::new();
+        if !request.str_with("source", |piece| source.write(piece.as_bytes())) {
             return false;
-        };
+        }
+        let digest = source.finish();
         let mut total_items = 0u64;
         if op == "batch" {
-            let Some(count) = scanned.value("inputs").and_then(scan::array_len) else {
+            let Some(count) = request.array_len("inputs") else {
                 return false;
             };
-            total_items = count;
-            if count as usize >= self.cfg.batch_fanout_min && self.available(now).len() >= 2 {
+            total_items = count as u64;
+            if count >= self.cfg.batch_fanout_min && self.available(now).len() >= 2 {
                 return false; // fan-out slices inputs, which needs the tree
             }
         }
@@ -524,7 +528,7 @@ impl RouterLoop {
             self.reply(token, &reply, now);
             return true;
         }
-        let body = scanned.without("id");
+        let body = request.without("id");
         let job_id = self.next_job;
         self.next_job += 1;
         let job = RJob {
@@ -631,11 +635,7 @@ impl RouterLoop {
             // Inline ops were handled by the caller.
             _ => return,
         };
-        let digest = sempe_core::hash::fnv1a(source.as_bytes());
-        let Ok(mut parsed) = json::parse(line) else { return };
-        if let Json::Obj(members) = &mut parsed {
-            members.retain(|(k, _)| k != "id");
-        }
+        let digest = fnv1a(source.as_bytes());
         let mode = self.ups.get(&token).map_or(Mode::Legacy, |u| u.mode);
         let available = self.available(now).len();
         let mut total_items = 0u64;
@@ -643,7 +643,9 @@ impl RouterLoop {
         if let Request::Batch { inputs, leak_check, .. } = &request {
             total_items = inputs.len() as u64;
             if inputs.len() >= self.cfg.batch_fanout_min && available >= 2 {
-                chunks = merge::split_batch(&parsed, available, *leak_check).map(|parts| {
+                // Fan-out slices `inputs`: the one step that needs a tree.
+                let Ok(tree) = json::parse(line) else { return };
+                chunks = merge::split_batch(&tree, available, *leak_check).map(|parts| {
                     parts
                         .into_iter()
                         .map(|(body, offset, _)| Chunk::new(body, offset, now))
@@ -651,7 +653,13 @@ impl RouterLoop {
                 });
             }
         }
-        let chunks = chunks.unwrap_or_else(|| vec![Chunk::new(parsed.encode(), 0, now)]);
+        let chunks = match chunks {
+            Some(chunks) => chunks,
+            None => {
+                let Ok(request) = json::object(line) else { return };
+                vec![Chunk::new(request.without("id"), 0, now)]
+            }
+        };
         let job_id = self.next_job;
         self.next_job += 1;
         let op = request.op_name();
@@ -808,10 +816,11 @@ impl RouterLoop {
         let out = if job.chunks.len() == 1 {
             let line = job.chunks[0].terminal.as_deref().unwrap_or("");
             merge::rewrite_terminal(line, job.id.as_deref())
-        } else if let Some(err) =
-            job.chunks.iter().filter_map(|c| c.terminal.as_deref()).find(|t| {
-                json::parse(t).ok().and_then(|v| v.get("ok").and_then(Json::as_bool)) != Some(true)
-            })
+        } else if let Some(err) = job
+            .chunks
+            .iter()
+            .filter_map(|c| c.terminal.as_deref())
+            .find(|t| json::object(t).ok().and_then(|reply| reply.raw("ok")) != Some("true"))
         {
             // One chunk failed non-retryably (bad program, sim error):
             // every chunk of the same program fails identically, so the
@@ -846,9 +855,9 @@ impl RouterLoop {
     fn handle_shard_line(&mut self, idx: usize, line: &str, now: Instant) {
         match self.shards[idx].state {
             SState::Handshaking { .. } => {
-                let ok = json::parse(line).ok().is_some_and(|v| {
-                    v.get("ok").and_then(Json::as_bool) == Some(true)
-                        && v.get("type").and_then(Json::as_str) == Some("hello")
+                let ok = json::object(line).is_ok_and(|reply| {
+                    reply.raw("ok") == Some("true")
+                        && reply.raw("type").and_then(unquoted) == Some("hello")
                 });
                 let s = &mut self.shards[idx];
                 if ok {
@@ -862,52 +871,35 @@ impl RouterLoop {
                 }
             }
             SState::Ready => {
-                // Fast path: raw-scan the reply for the envelope members
-                // the router acts on. Anything surprising re-parses.
-                if let Some(scanned) = scan::TopLevel::parse(line) {
-                    let Some(sid) = scanned.value("id").and_then(scan::str_inner) else { return };
-                    if self.shards[idx].probe.as_ref().is_some_and(|(pid, _)| pid == sid) {
-                        let Ok(v) = json::parse(line) else { return };
-                        self.handle_probe_reply(idx, &v, now);
-                        return;
-                    }
-                    let Some(&key) = self.shards[idx].inflight.get(sid) else { return };
-                    if scanned.value("partial") == Some("true") {
-                        self.handle_frame(idx, sid, key, line, now);
-                    } else {
-                        let ok = scanned.value("ok") == Some("true");
-                        let code = scanned.value("code").and_then(scan::str_inner).unwrap_or("");
-                        self.shards[idx].inflight.remove(sid);
-                        self.handle_terminal(idx, sid, key, line, ok, code, now);
-                    }
+                // Read only the envelope members the router acts on; the
+                // router mints every id, so none carries an escape.
+                let Ok(reply) = json::object(line) else { return };
+                let Some(sid) = reply.raw("id").and_then(unquoted) else { return };
+                if self.shards[idx].probe.as_ref().is_some_and(|(pid, _)| pid == sid) {
+                    self.handle_probe_reply(idx, &reply, now);
                     return;
                 }
-                let Ok(v) = json::parse(line) else { return };
-                let Some(sid) = v.get("id").and_then(Json::as_str).map(str::to_string) else {
-                    return;
-                };
-                if self.shards[idx].probe.as_ref().is_some_and(|(pid, _)| *pid == sid) {
-                    self.handle_probe_reply(idx, &v, now);
-                    return;
-                }
-                let Some(&key) = self.shards[idx].inflight.get(&sid) else { return };
-                if v.get("partial").and_then(Json::as_bool) == Some(true) {
-                    self.handle_frame(idx, &sid, key, line, now);
+                let Some(&key) = self.shards[idx].inflight.get(sid) else { return };
+                if reply.raw("partial") == Some("true") {
+                    self.handle_frame(idx, sid, key, line, now);
                 } else {
-                    let ok = v.get("ok").and_then(Json::as_bool) == Some(true);
-                    let code = v.get("code").and_then(Json::as_str).unwrap_or("").to_string();
-                    self.shards[idx].inflight.remove(&sid);
-                    self.handle_terminal(idx, &sid, key, line, ok, &code, now);
+                    let ok = reply.raw("ok") == Some("true");
+                    let code = reply.raw("code").and_then(unquoted).unwrap_or("");
+                    self.shards[idx].inflight.remove(sid);
+                    self.handle_terminal(idx, sid, key, line, ok, code, now);
                 }
             }
             _ => {}
         }
     }
 
-    fn handle_probe_reply(&mut self, idx: usize, v: &Json, now: Instant) {
-        let ok = v.get("ok").and_then(Json::as_bool) == Some(true);
-        let ready = v.get("ready").and_then(Json::as_bool) == Some(true);
-        let depth = v.get("queue").and_then(|q| q.get("depth")).and_then(Json::as_u64).unwrap_or(0);
+    fn handle_probe_reply(&mut self, idx: usize, reply: &Object<'_>, now: Instant) {
+        let ok = reply.raw("ok") == Some("true");
+        let ready = reply.raw("ready") == Some("true");
+        let depth = reply
+            .raw("queue")
+            .and_then(|queue| json::object(queue).ok()?.raw("depth")?.parse().ok())
+            .unwrap_or(0);
         let s = &mut self.shards[idx];
         s.probe = None;
         s.next_probe_at = now + self.cfg.probe_interval();
@@ -1354,6 +1346,12 @@ impl RouterLoop {
             .with("faults", self.shared.injector.to_json())
             .encode()
     }
+}
+
+/// The text between a string token's quotes, as written: escapes are
+/// not decoded, so an escaped name never matches a plain one.
+fn unquoted(raw: &str) -> Option<&str> {
+    raw.strip_prefix('"')?.strip_suffix('"')
 }
 
 /// A router-built `E_BUSY` reply with the `Retry-After`-style hint.

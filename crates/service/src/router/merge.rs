@@ -11,7 +11,6 @@
 
 use sempe_core::json::{self, Json};
 
-use super::scan;
 use crate::protocol::with_id;
 
 /// Replace the value of member `key` in place; returns false when the
@@ -75,18 +74,11 @@ pub(crate) fn rewrite_frame(
 /// client). Byte-for-byte, the result is what the shard would have sent
 /// a directly-connected client using the upstream id.
 pub(crate) fn rewrite_terminal(line: &str, upstream_id: Option<&str>) -> Option<String> {
-    // Fast path: shard replies are service-encoded (no inter-member
-    // whitespace), so excising the id textually produces the same bytes
-    // as parse → remove → encode, without building a tree.
-    if let Some(scanned) = scan::TopLevel::parse(line) {
-        return Some(with_id(&scanned.without("id"), upstream_id));
-    }
-    let mut v = json::parse(line).ok()?;
-    if !matches!(v, Json::Obj(_)) {
-        return None;
-    }
-    remove_member(&mut v, "id");
-    Some(with_id(&v.encode(), upstream_id))
+    // Shard replies are service-encoded (no inter-member whitespace), so
+    // cutting the id out of the text gives the same bytes as parse →
+    // remove → encode, without building a tree.
+    let reply = json::object(line).ok()?;
+    Some(with_id(&reply.without("id"), upstream_id))
 }
 
 /// One chunk of a fanned-out `batch`, ready for terminal merging.

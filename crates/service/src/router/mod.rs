@@ -11,6 +11,16 @@
 //! back into one strictly-sequenced upstream stream with per-item
 //! `shard` provenance.
 //!
+//! The router reads JSON only through `sempe_core::json`, the grammar
+//! the shards parse with. A compute request or a shard reply is read
+//! once with `json::object`, which validates the whole line as
+//! `json::parse` does but builds no tree: the router looks at a few
+//! top-level members, digests `source` as it is decoded, and cuts or
+//! splices the `id` in the text. Only a `batch` fan-out builds a tree,
+//! to slice its `inputs`. So every line the router forwards is one the
+//! shard can parse, and a line it cannot read gets the same `E_PARSE`
+//! a direct connection gets.
+//!
 //! The robustness half is the point: per-shard health probes, connect
 //! and request deadlines with jittered retry, hedged resubmission of
 //! idempotent non-streaming work, per-shard circuit breakers with
@@ -25,7 +35,6 @@
 mod event_loop;
 mod merge;
 mod ring;
-mod scan;
 mod shard;
 
 use std::io;

@@ -1,8 +1,9 @@
 //! Router integration tests over real TCP: digest affinity into the
 //! shard cache tier, fan-out stream merging (dense per-id `seq`, shard
 //! provenance, byte-identical terminals), surviving a `kill -9` of a
-//! shard mid-batch with zero duplicated or lost trials, and the
-//! circuit-breaker open → close lifecycle against a flapping shard.
+//! shard mid-batch with zero duplicated or lost trials, the
+//! circuit-breaker open → close lifecycle against a flapping shard, and
+//! malformed lines answered exactly as a direct server answers them.
 
 use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Write};
@@ -428,6 +429,45 @@ fn unfanned_streamed_batches_never_wait_on_delayed_acks() {
         median < Duration::from_millis(20),
         "median routed batch round trip {median:?} (a delayed-ACK stall is >= 40 ms): {trips:?}"
     );
+
+    router.shutdown();
+    router.join();
+    for shard in [shard_a, shard_b] {
+        shard.shutdown();
+        shard.join();
+    }
+}
+
+#[test]
+fn lines_broken_inside_a_nested_value_get_the_direct_parse_error_at_once() {
+    // Each line is a well-formed object at the top level with a broken
+    // nested value. The router must reject it as the shard's parser
+    // does: a router that forwarded it would get back an id-less
+    // `E_PARSE` it cannot match, and the client would wait out the
+    // whole request window for an `E_BUSY`.
+    let shard_a = Server::start(&ServiceConfig::default()).expect("shard a");
+    let shard_b = Server::start(&ServiceConfig::default()).expect("shard b");
+    let cfg = fast_config(vec![shard_a.local_addr().to_string(), shard_b.local_addr().to_string()]);
+    let router = Router::start(&cfg).expect("router");
+    wait_healthy(router.local_addr(), 2, Duration::from_secs(10));
+
+    let (mut stream, mut reader) = connect(router.local_addr());
+    stream.set_read_timeout(Some(Duration::from_secs(5))).expect("read timeout");
+    for broken in [r#""x":[tru]"#, r#""x":"\ud800""#, r#""x":{"k" 1}"#, r#""max_cycles":[1,]"#] {
+        let line = format!(r#"{{"id":"bad","type":"run","source":"output 1;",{broken}}}"#);
+        let direct = roundtrip(shard_a.local_addr(), &line);
+        assert!(direct.contains(r#""code":"E_PARSE""#), "{direct}");
+        let started = Instant::now();
+        writeln!(stream, "{line}").expect("send");
+        let routed = read_line(&mut reader);
+        let took = started.elapsed();
+        assert_eq!(routed, direct, "the router answers {line} as a direct server does");
+        assert!(took < Duration::from_secs(1), "{line} took {took:?}");
+    }
+    // The connection still serves valid work.
+    writeln!(stream, "{}", run_line(3)).expect("send run");
+    let resp = read_line(&mut reader);
+    assert!(resp.contains(r#""ok":true"#), "{resp}");
 
     router.shutdown();
     router.join();

@@ -685,10 +685,7 @@ impl Simulator {
         self.state.clone_from(&cp.state);
         self.mem.restore(&cp.mem);
         self.reset_transient();
-        // The host ledger accumulates across restores (one request =
-        // many trials); only rebuild/take reset it.
-        self.host.restore_ns += elapsed_ns(restore_start);
-        self.host.restores += 1;
+        self.count_restore(restore_start);
     }
 
     /// Build a simulator directly from a checkpoint — no program decode,
@@ -697,9 +694,20 @@ impl Simulator {
     /// worker's simulator via [`Simulator::restore_from`].
     #[must_use]
     pub fn from_checkpoint(cp: &Checkpoint) -> Simulator {
-        let mut sim = Self::with_state(cp.state.clone(), Memory::new());
-        sim.restore_from(cp);
+        let restore_start = std::time::Instant::now();
+        let mut mem = Memory::new();
+        mem.restore(&cp.mem);
+        let mut sim = Self::with_state(cp.state.clone(), mem);
+        sim.count_restore(restore_start);
         sim
+    }
+
+    /// Book one restore in the host ledger. The ledger accumulates
+    /// across restores (one request = many trials); only rebuild/take
+    /// reset it.
+    fn count_restore(&mut self, restore_start: std::time::Instant) {
+        self.host.restore_ns += elapsed_ns(restore_start);
+        self.host.restores += 1;
     }
 
     /// The fork-server arena idiom: restore `slot`'s simulator from the
