@@ -1229,6 +1229,27 @@ mod tests {
             "nothing ran before the expired budget was noticed"
         );
 
+        // Attack calibration stops between runs the same way.
+        let err = execute_traced(
+            &attack_req("baseline"),
+            &mut arena,
+            &forks,
+            Some(Instant::now()),
+            &mut Span::begin(),
+        )
+        .unwrap_err();
+        assert_eq!(err.code, ErrorCode::Deadline);
+        assert_eq!(err.partial.unwrap().get("items_done").and_then(Json::as_u64), Some(0));
+
+        // A sweep's lanes are cut mid-simulation and report cycles.
+        let req = Request::Sweep { source: source.to_string(), max_cycles: 100_000_000 };
+        let err =
+            execute_traced(&req, &mut arena, &forks, Some(Instant::now()), &mut Span::begin())
+                .unwrap_err();
+        assert_eq!(err.code, ErrorCode::Deadline);
+        let partial = err.partial.expect("deadline errors carry partial progress");
+        assert!(partial.get("cycles").and_then(Json::as_u64).is_some(), "{partial:?}");
+
         // A generous deadline changes nothing: byte-identical to no
         // deadline at all (the cache invariant).
         let req = Request::Run {

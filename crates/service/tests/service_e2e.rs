@@ -432,14 +432,16 @@ fn unknown_op_with_deadline_and_id_gets_a_structured_error() {
 #[test]
 fn expired_deadline_returns_e_deadline_with_partial_stats_over_the_wire() {
     let server = start(2);
-    // A program long enough that a 1 ms budget expires mid-simulation.
+    // The budget is well above the queue wait of a loaded test run, so
+    // the job starts, and the loop is long enough that the budget still
+    // expires mid-simulation.
     let long_loop = r"
         var i = 0;
-        while (i < 1000000) bound 1000001 { i = i + 1; }
+        while (i < 20000000) bound 20000001 { i = i + 1; }
         output i;
     ";
     let line = format!(
-        r#"{{"type":"run","source":{},"max_cycles":400000000,"deadline_ms":1,"id":7}}"#,
+        r#"{{"type":"run","source":{},"max_cycles":2000000000,"deadline_ms":250,"id":7}}"#,
         json::escape(long_loop)
     );
     let started = std::time::Instant::now();
