@@ -6,22 +6,34 @@
 //! cache (and the protocol's "cache hits are indistinguishable from cold
 //! runs" promise) rests on.
 //!
-//! Trial-shaped requests (`batch`, `attack` calibration, `sweep` lanes)
-//! run on the **fork server**: one [`sempe_sim::Checkpoint`] per
-//! (program, machine configuration) is built on first use and shared
-//! across the worker pool through the [`ForkCache`]; each trial then
-//! restores the checkpoint into the worker's arena slot, patches the
-//! input scalars' data slots, and runs — no re-parse, re-compile,
-//! re-decode, or simulator re-construction per trial. Checkpoint
-//! restores are proven bit-for-bit equal to cold runs by the golden
-//! tests in `crates/sim/tests/checkpoint.rs` and the fuzzer's fork
-//! oracle, so the determinism invariant above is preserved.
+//! Every compute op builds a **plan** of trials and hands it to one
+//! executor. A trial is a compiled workload, a start (a rebuild from
+//! `(program, config)` or a restore of a shared checkpoint) and the data
+//! words to patch; a plan is a list of lanes, each a sequence of trials
+//! on one arena slot. `run` is one rebuilt trial, `sweep` three lanes of
+//! one forked trial, `attack` N forked calibration trials plus the
+//! victim's, `batch` N forked trials. Only the executor checks the
+//! deadline between trials, starts, patches and runs a slot, charges the
+//! span and emits progress frames; the ops analyse what it hands back.
+//!
+//! Forked trials run on the **fork server**: one
+//! [`sempe_sim::Checkpoint`] per (program, machine configuration) is
+//! built on first use and shared across the worker pool through the
+//! [`ForkCache`]; each trial restores it, patches the input scalars'
+//! data slots and runs — no re-parse, re-compile, re-decode, or
+//! simulator re-construction per trial. Restores are proven bit-for-bit
+//! equal to cold runs by `crates/sim/tests/checkpoint.rs` and the
+//! fuzzer's fork oracle, so the determinism invariant above holds. `run`
+//! rebuilds instead: its programs are mostly unique, and a checkpoint
+//! per `run` would evict the ones that repeat.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use sempe_compile::{analyze_taint, compile, parse_wir, ParsedProgram, WirProgram};
+use sempe_compile::{
+    analyze_taint, compile, parse_wir, CompiledWorkload, ParsedProgram, WirProgram,
+};
 use sempe_core::attack::{BranchProfileAttacker, TimingAttacker};
 use sempe_core::hash::{fnv1a, Fnv1a};
 use sempe_core::json::Json;
@@ -35,18 +47,17 @@ use crate::cache::CacheKey;
 use crate::protocol::{BackendSel, ErrorCode, ExecMode, Request, ServiceError};
 use crate::sync;
 
-/// A worker's reusable simulation arena.
+/// A worker's reusable simulation arena: one simulator slot per plan
+/// lane.
 ///
-/// The first job constructs the [`Simulator`]; later jobs
-/// [`Simulator::rebuild`] it in place (or restore a fork-server
-/// checkpoint into it), recycling the hot-loop allocations instead of
-/// re-growing them per request. The two side slots host `sweep`'s
-/// concurrent SeMPE/CTE lanes, which used to build throwaway simulators
-/// per request.
+/// A slot's first trial constructs its [`Simulator`]; later trials
+/// [`Simulator::rebuild`] it in place or restore a fork-server
+/// checkpoint into it, recycling the hot-loop allocations instead of
+/// re-growing them per request. Slot 0 serves every single-lane plan;
+/// `sweep` keeps two more slots warm for its SeMPE and CTE lanes.
 #[derive(Debug, Default)]
 pub struct Arena {
-    sim: Option<Simulator>,
-    side: [Option<Simulator>; 2],
+    slots: Vec<Option<Simulator>>,
 }
 
 impl Arena {
@@ -56,41 +67,13 @@ impl Arena {
         Arena::default()
     }
 
-    /// Simulate `prog` under `config`, reusing the arena's simulator.
-    /// The rebuild (decode + image load) is attributed to the span's
-    /// `compile` phase, the run to `simulate`.
-    fn simulate(
-        &mut self,
-        prog: &Program,
-        config: SimConfig,
-        fuel: u64,
-        deadline: Option<Instant>,
-        span: &mut Span,
-    ) -> Result<SimResult, ServiceError> {
-        let sim = Simulator::rebuild_or_new(&mut self.sim, prog, config)
-            .map_err(|e| ServiceError::new(ErrorCode::Compile, e.to_string()))?;
-        span.mark("compile");
-        let res = sim.run_with_deadline(fuel, deadline).map_err(sim_err);
-        span.mark("simulate");
-        res
-    }
-
-    /// The simulator after the last [`Arena::simulate`] (memory, trace).
-    /// Recoverable error — not a panic — if no simulation ran yet: a
-    /// request-handling slip must cost one response, not a worker.
-    fn sim(&self) -> Result<&Simulator, ServiceError> {
-        self.sim.as_ref().ok_or_else(|| {
-            ServiceError::new(ErrorCode::Internal, "no simulation ran in this arena")
-        })
-    }
-
     /// Drain and sum the host-time ledgers of every arena slot — the
     /// per-request attribution the worker folds into the
     /// `sim_host_us{phase=…}` histograms. Resets all slots, so the next
     /// request on this arena starts a clean ledger.
     pub fn take_host_profile(&mut self) -> HostProfile {
         let mut total = HostProfile::default();
-        for sim in std::iter::once(&mut self.sim).chain(self.side.iter_mut()).flatten() {
+        for sim in self.slots.iter_mut().flatten() {
             total.absorb(&sim.take_host_profile());
         }
         total
@@ -151,8 +134,7 @@ impl ForkCache {
             return Ok(Arc::clone(hit));
         }
         self.misses.inc();
-        let mut sim = Simulator::new(prog, config)
-            .map_err(|e| ServiceError::new(ErrorCode::Compile, e.to_string()))?;
+        let mut sim = Simulator::new(prog, config).map_err(compile_err)?;
         let cp = Arc::new(
             sim.checkpoint().map_err(|e| ServiceError::new(ErrorCode::Internal, e.to_string()))?,
         );
@@ -236,8 +218,11 @@ fn sim_err(e: SimError) -> ServiceError {
     }
 }
 
-/// `E_DEADLINE` for a budget that expired between simulations (batch
-/// items, attack calibration runs).
+fn compile_err(e: impl std::fmt::Display) -> ServiceError {
+    ServiceError::new(ErrorCode::Compile, e.to_string())
+}
+
+/// `E_DEADLINE` for a budget that expired between two trials.
 fn deadline_between(done: usize, total: usize, what: &str) -> ServiceError {
     ServiceError::new(
         ErrorCode::Deadline,
@@ -414,21 +399,20 @@ pub fn execute_streamed(
     forks: &ForkCache,
     deadline: Option<Instant>,
     span: &mut Span,
-    mut sink: Option<&mut StreamSink<'_>>,
+    sink: Option<&mut StreamSink<'_>>,
 ) -> Result<String, ServiceError> {
     span.skip();
+    let mut cx = Ctx { arena, forks, deadline, span, sink };
     let body = match req {
         Request::Compile { source, backend } => {
             let body = do_compile(source, *backend)?;
-            span.mark("compile");
+            cx.span.mark("compile");
             body
         }
         Request::Run { source, backend, mode, max_cycles } => {
-            do_run(source, *backend, *mode, *max_cycles, arena, deadline, span)?
+            do_run(source, *backend, *mode, *max_cycles, &mut cx)?
         }
-        Request::Sweep { source, max_cycles } => {
-            do_sweep(source, *max_cycles, arena, forks, deadline, span, sink.as_deref_mut())?
-        }
+        Request::Sweep { source, max_cycles } => do_sweep(source, *max_cycles, &mut cx)?,
         Request::Attack { source, mode, secret, secret_value, candidates, max_cycles } => {
             do_attack(
                 source,
@@ -437,25 +421,12 @@ pub fn execute_streamed(
                 *secret_value,
                 candidates,
                 *max_cycles,
-                arena,
-                forks,
-                deadline,
-                span,
+                &mut cx,
             )?
         }
-        Request::Batch { source, backend, mode, inputs, leak_check, max_cycles } => do_batch(
-            source,
-            *backend,
-            *mode,
-            inputs,
-            *leak_check,
-            *max_cycles,
-            arena,
-            forks,
-            deadline,
-            span,
-            sink,
-        )?,
+        Request::Batch { source, backend, mode, inputs, leak_check, max_cycles } => {
+            do_batch(source, *backend, *mode, inputs, *leak_check, *max_cycles, &mut cx)?
+        }
         Request::Stats
         | Request::Health
         | Request::Metrics { .. }
@@ -464,21 +435,192 @@ pub fn execute_streamed(
             return Err(ServiceError::new(ErrorCode::Internal, "control request reached a worker"))
         }
     };
-    span.skip();
+    cx.span.skip();
     let line = body.encode();
-    span.mark("encode");
+    cx.span.mark("encode");
     Ok(line)
+}
+
+/// How a trial gets its simulator.
+#[derive(Clone, Copy)]
+enum Start<'a> {
+    /// Rebuild from the workload's program on this machine (`compile`).
+    Rebuild(&'a SimConfig),
+    /// Restore a fork-server checkpoint (`checkpoint_restore`).
+    Restore(&'a Checkpoint),
+}
+
+/// One simulation: a compiled workload, how its simulator starts, and
+/// the data words patched in before it runs.
+struct Trial<'a> {
+    cw: &'a CompiledWorkload,
+    start: Start<'a>,
+    patches: Vec<(Addr, u64)>,
+    /// The tag member of the trial's progress frame on a streaming
+    /// connection, e.g. `("item", 3)`; `None` sends no frame.
+    frame: Option<(&'static str, Json)>,
+}
+
+/// What a compute op asks the executor to run.
+struct Plan<'a> {
+    /// One sequence of trials per arena slot.
+    lanes: Vec<Vec<Trial<'a>>>,
+    /// The cycle budget of every trial.
+    fuel: u64,
+    /// What the trials count as when the deadline expires between two of
+    /// them (`"batch items"`). `None` leaves the deadline to the running
+    /// simulation alone, whose `E_DEADLINE` reports partial cycles.
+    between: Option<&'static str>,
+}
+
+/// One request's execution context: the worker's arena, the shared fork
+/// cache, the deadline, the span and the progress-frame sink.
+struct Ctx<'r, 's> {
+    arena: &'r mut Arena,
+    forks: &'r ForkCache,
+    deadline: Option<Instant>,
+    span: &'r mut Span,
+    sink: Option<&'r mut StreamSink<'s>>,
+}
+
+impl Ctx<'_, '_> {
+    /// Code-generate `prog` for `sel`, charged to `compile`.
+    fn compile(
+        &mut self,
+        prog: &WirProgram,
+        sel: BackendSel,
+    ) -> Result<CompiledWorkload, ServiceError> {
+        self.span.skip();
+        let cw = compile(prog, sel.backend()).map_err(compile_err)?;
+        self.span.mark("compile");
+        Ok(cw)
+    }
+
+    /// Code-generate `prog` for `sel` and fetch (or build) its
+    /// fork-server checkpoint under `config`; the checkpoint is charged
+    /// to `checkpoint_restore`.
+    fn fork(
+        &mut self,
+        prog: &WirProgram,
+        sel: BackendSel,
+        config: SimConfig,
+    ) -> Result<(CompiledWorkload, Arc<Checkpoint>), ServiceError> {
+        let cw = self.compile(prog, sel)?;
+        let cp = self.forks.get_or_build(cw.program(), config)?;
+        self.span.mark("checkpoint_restore");
+        Ok((cw, cp))
+    }
+
+    /// Run `plan` and return one result per trial. Trials are numbered
+    /// in the order they report: round `r` runs trial `r` of every lane
+    /// at once, and its lanes report in lane order. `on_trial` sees each
+    /// trial's number, run facts and simulator on this thread, right
+    /// after its progress frame. The first failed trial of a round fails
+    /// the plan once the round is over; a lane that panics leaves its
+    /// slot empty.
+    fn run(
+        &mut self,
+        plan: Plan<'_>,
+        on_trial: &mut dyn FnMut(usize, &RunData, &Simulator),
+    ) -> Result<Vec<RunData>, ServiceError> {
+        let Plan { lanes, fuel, between } = plan;
+        let Some((main_lane, side_lanes)) = lanes.split_first() else { return Ok(Vec::new()) };
+        let total = lanes.iter().map(Vec::len).sum();
+        let rounds = lanes.iter().map(Vec::len).max().unwrap_or(0);
+        let deadline = self.deadline;
+        let slots = &mut self.arena.slots;
+        slots.resize_with(slots.len().max(lanes.len()), || None);
+        let mut runs = Vec::with_capacity(total);
+        for round in 0..rounds {
+            if let Some(what) = between.filter(|_| expired(deadline)) {
+                return Err(deadline_between(runs.len(), total, what));
+            }
+            let mut failed = None;
+            let mut panicked = Vec::new();
+            let mut report =
+                |trial: &Trial<'_>, outcome: Result<(RunData, &mut Simulator), _>| match outcome {
+                    Ok((data, sim)) => {
+                        if let (Some(sink), Some((tag, value))) =
+                            (self.sink.as_deref_mut(), &trial.frame)
+                        {
+                            sink.frame(data.append_to(Json::obj().with(tag, value.clone())));
+                        }
+                        on_trial(runs.len(), &data, sim);
+                        runs.push(data);
+                    }
+                    Err(e) => {
+                        failed.get_or_insert(e);
+                    }
+                };
+            let (main_slot, side_slots) = slots.split_at_mut(1);
+            std::thread::scope(|s| {
+                let side: Vec<_> = side_lanes
+                    .iter()
+                    .zip(side_slots.iter_mut())
+                    .enumerate()
+                    .filter_map(|(i, (lane, slot))| {
+                        let trial = lane.get(round)?;
+                        let handle = s.spawn(move || {
+                            run_trial(slot, trial, fuel, deadline, &mut Span::begin())
+                        });
+                        Some((i + 1, trial, handle))
+                    })
+                    .collect();
+                if let Some(trial) = main_lane.get(round) {
+                    report(trial, run_trial(&mut main_slot[0], trial, fuel, deadline, self.span));
+                }
+                // Time spent waiting on the other lanes is simulation.
+                self.span.skip();
+                for (lane, trial, handle) in side {
+                    let outcome = handle.join().unwrap_or_else(|_| {
+                        panicked.push(lane);
+                        Err(ServiceError::new(ErrorCode::Internal, "trial lane panicked"))
+                    });
+                    self.span.mark("simulate");
+                    report(trial, outcome);
+                }
+            });
+            for lane in panicked {
+                slots[lane] = None;
+            }
+            if let Some(e) = failed {
+                return Err(e);
+            }
+        }
+        Ok(runs)
+    }
+}
+
+/// Start `slot` as `trial` says (hydrating it on first use), patch it,
+/// run it and collect the run facts, charging the span.
+fn run_trial<'s>(
+    slot: &'s mut Option<Simulator>,
+    trial: &Trial<'_>,
+    fuel: u64,
+    deadline: Option<Instant>,
+    span: &mut Span,
+) -> Result<(RunData, &'s mut Simulator), ServiceError> {
+    let started = Instant::now();
+    let (sim, phase) = match trial.start {
+        Start::Rebuild(config) => (
+            Simulator::rebuild_or_new(slot, trial.cw.program(), *config).map_err(compile_err)?,
+            "compile",
+        ),
+        Start::Restore(cp) => (Simulator::restore_or_new(slot, cp), "checkpoint_restore"),
+    };
+    for &(addr, value) in &trial.patches {
+        sim.mem_mut().write_u64(addr, value);
+    }
+    span.add(phase, started.elapsed());
+    let started = Instant::now();
+    let res = sim.run_with_deadline(fuel, deadline).map_err(sim_err);
+    span.add("simulate", started.elapsed());
+    let data = RunData::new(&res?, trial.cw.read_outputs(sim.mem()));
+    Ok((data, sim))
 }
 
 fn parse_source(source: &str) -> Result<ParsedProgram, ServiceError> {
     parse_wir(source).map_err(|e| ServiceError::new(ErrorCode::Wir, e.to_string()))
-}
-
-fn compile_sel(
-    prog: &WirProgram,
-    sel: BackendSel,
-) -> Result<sempe_compile::CompiledWorkload, ServiceError> {
-    compile(prog, sel.backend()).map_err(|e| ServiceError::new(ErrorCode::Compile, e.to_string()))
 }
 
 fn hex(v: u64) -> String {
@@ -488,17 +630,13 @@ fn hex(v: u64) -> String {
 fn do_compile(source: &str, sel: BackendSel) -> Result<Json, ServiceError> {
     let parsed = parse_source(source)?;
     let taint = analyze_taint(&parsed.program, &parsed.secrets);
-    let cw = compile_sel(&parsed.program, sel)?;
+    let cw = compile(&parsed.program, sel.backend()).map_err(compile_err)?;
     let decode_mode = match sel {
         BackendSel::Sempe => DecodeMode::Sempe,
         BackendSel::Baseline | BackendSel::Cte => DecodeMode::Legacy,
     };
-    let decoded = cw
-        .program()
-        .decoded(decode_mode)
-        .map_err(|e| ServiceError::new(ErrorCode::Compile, e.to_string()))?;
-    let listing = disasm::listing(cw.program(), decode_mode)
-        .map_err(|e| ServiceError::new(ErrorCode::Compile, e.to_string()))?;
+    let decoded = cw.program().decoded(decode_mode).map_err(compile_err)?;
+    let listing = disasm::listing(cw.program(), decode_mode).map_err(compile_err)?;
     let secret_names: Vec<Json> =
         parsed.secrets.iter().map(|v| Json::from(parsed.program.var_name(*v))).collect();
     Ok(Json::obj()
@@ -514,7 +652,7 @@ fn do_compile(source: &str, sel: BackendSel) -> Result<Json, ServiceError> {
         .with("disasm", listing))
 }
 
-/// The measured facts of one simulation, shared by `run` and `sweep`.
+/// The measured facts of one simulation, shared by every op.
 struct RunData {
     cycles: u64,
     committed: u64,
@@ -542,9 +680,10 @@ impl RunData {
         }
     }
 
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .with("cycles", self.cycles)
+    /// `obj` followed by the run facts, in the order every response
+    /// and progress frame lists them.
+    fn append_to(&self, obj: Json) -> Json {
+        obj.with("cycles", self.cycles)
             .with("committed", self.committed)
             .with("ff_committed", self.ff_committed)
             .with("ipc", self.ipc)
@@ -553,48 +692,10 @@ impl RunData {
             .with("drain_stall_cycles", self.drain_stall_cycles)
             .with("outputs", self.outputs.clone())
     }
-}
 
-fn arena_run(
-    prog: &WirProgram,
-    sel: BackendSel,
-    mode: ExecMode,
-    fuel: u64,
-    arena: &mut Arena,
-    deadline: Option<Instant>,
-    span: &mut Span,
-) -> Result<RunData, ServiceError> {
-    span.skip();
-    let cw = compile_sel(prog, sel)?;
-    span.mark("compile");
-    let res = arena.simulate(cw.program(), mode.sim_config(sel), fuel, deadline, span)?;
-    Ok(RunData::new(&res, cw.read_outputs(arena.sim()?.mem())))
-}
-
-/// One fork-server trial: restore `cp` into `slot` (hydrating it on
-/// first use), patch the given data words, run, and collect the run
-/// facts. Bit-for-bit equal to a cold build-and-run of the patched
-/// program, at a fraction of the setup cost.
-fn forked_run(
-    slot: &mut Option<Simulator>,
-    cp: &Checkpoint,
-    cw: &sempe_compile::CompiledWorkload,
-    patches: &[(Addr, u64)],
-    fuel: u64,
-    deadline: Option<Instant>,
-    span: &mut Span,
-) -> Result<RunData, ServiceError> {
-    let restore_start = Instant::now();
-    let sim = Simulator::restore_or_new(slot, cp);
-    for &(addr, value) in patches {
-        sim.mem_mut().write_u64(addr, value);
+    fn to_json(&self) -> Json {
+        self.append_to(Json::obj())
     }
-    span.add("checkpoint_restore", restore_start.elapsed());
-    let run_start = Instant::now();
-    let res = sim.run_with_deadline(fuel, deadline).map_err(sim_err);
-    span.add("simulate", run_start.elapsed());
-    let res = res?;
-    Ok(RunData::new(&res, cw.read_outputs(sim.mem())))
 }
 
 fn do_run(
@@ -602,104 +703,42 @@ fn do_run(
     sel: BackendSel,
     mode: ExecMode,
     fuel: u64,
-    arena: &mut Arena,
-    deadline: Option<Instant>,
-    span: &mut Span,
+    cx: &mut Ctx<'_, '_>,
 ) -> Result<Json, ServiceError> {
     let parsed = parse_source(source)?;
-    let data = arena_run(&parsed.program, sel, mode, fuel, arena, deadline, span)?;
-    let mut body = Json::obj()
+    let cw = cx.compile(&parsed.program, sel)?;
+    let config = mode.sim_config(sel);
+    let trial = Trial { cw: &cw, start: Start::Rebuild(&config), patches: vec![], frame: None };
+    let runs = cx.run(Plan { lanes: vec![vec![trial]], fuel, between: None }, &mut |_, _, _| {})?;
+    let head = Json::obj()
         .with("ok", true)
         .with("type", "run")
         .with("backend", sel.name())
         .with("mode", mode.name());
-    if let Json::Obj(run_members) = data.to_json() {
-        if let Json::Obj(members) = &mut body {
-            members.extend(run_members);
-        }
-    }
-    Ok(body
+    Ok(runs[0]
+        .append_to(head)
         .with("source_hash", hex(fnv1a(source.as_bytes())))
-        .with("config_digest", hex(mode.sim_config(sel).digest())))
-}
-
-/// A streaming frame payload: the lane/item tag followed by the run
-/// facts, same member order as the terminal response's result objects.
-fn progress_frame(tag: &str, value: Json, data: &RunData) -> Json {
-    let mut frame = Json::obj().with(tag, value);
-    if let Json::Obj(members) = &mut frame {
-        if let Json::Obj(src) = data.to_json() {
-            members.extend(src);
-        }
-    }
-    frame
+        .with("config_digest", hex(config.digest())))
 }
 
 #[allow(clippy::cast_precision_loss)]
-fn do_sweep(
-    source: &str,
-    fuel: u64,
-    arena: &mut Arena,
-    forks: &ForkCache,
-    deadline: Option<Instant>,
-    span: &mut Span,
-    mut sink: Option<&mut StreamSink<'_>>,
-) -> Result<Json, ServiceError> {
+fn do_sweep(source: &str, fuel: u64, cx: &mut Ctx<'_, '_>) -> Result<Json, ServiceError> {
     let parsed = parse_source(source)?;
-    let prog = &parsed.program;
-    // Compile all three combinations and fetch (or build) their shared
-    // checkpoints up front; the concurrent lanes then only restore+run.
-    span.skip();
-    let mut lanes = Vec::with_capacity(BackendSel::ALL.len());
-    for sel in BackendSel::ALL {
-        let cw = compile_sel(prog, sel)?;
-        span.mark("compile");
-        let cp = forks.get_or_build(cw.program(), sel.sim_config())?;
-        span.mark("checkpoint_restore");
-        lanes.push((cw, cp));
-    }
-    let [(base_cw, base_cp), (sempe_cw, sempe_cp), (cte_cw, cte_cp)]: [_; 3] =
-        lanes.try_into().unwrap_or_else(|_| unreachable!("three backends"));
-    let join = |h: std::thread::ScopedJoinHandle<'_, Result<RunData, ServiceError>>| {
-        h.join().unwrap_or_else(|_| {
-            Err(ServiceError::new(ErrorCode::Internal, "sweep worker panicked"))
+    let forked: Vec<_> = BackendSel::ALL
+        .iter()
+        .map(|&sel| cx.fork(&parsed.program, sel, sel.sim_config()))
+        .collect::<Result<_, _>>()?;
+    // One lane per backend: the three combinations run concurrently.
+    let lanes = BackendSel::ALL
+        .iter()
+        .zip(&forked)
+        .map(|(sel, (cw, cp))| {
+            let frame = Some(("lane", Json::from(sel.name())));
+            vec![Trial { cw, start: Start::Restore(cp), patches: vec![], frame }]
         })
-    };
-    // All three combinations run concurrently: SeMPE and CTE (the long
-    // poles) on this worker's persistent side slots, the baseline on the
-    // main arena slot — no throwaway simulators.
-    // The side lanes run on their own threads, so each gets a throwaway
-    // span (a `&mut Span` cannot cross the scope); the whole concurrent
-    // section is attributed to `simulate` as main-thread wall time,
-    // which keeps the span's phase sum ≤ the request's wall time.
-    let Arena { sim, side } = arena;
-    let [side_a, side_b] = side;
-    let (baseline, sempe, cte) = std::thread::scope(|s| {
-        let sempe = s.spawn(|| {
-            forked_run(side_a, &sempe_cp, &sempe_cw, &[], fuel, deadline, &mut Span::begin())
-        });
-        let cte = s.spawn(|| {
-            forked_run(side_b, &cte_cp, &cte_cw, &[], fuel, deadline, &mut Span::begin())
-        });
-        let baseline = forked_run(sim, &base_cp, &base_cw, &[], fuel, deadline, &mut Span::begin());
-        // Per-lane streaming: each lane's frame goes out as soon as its
-        // result exists, from this (the worker) thread — the baseline
-        // before the side lanes are joined.
-        if let (Some(sink), Ok(data)) = (sink.as_deref_mut(), &baseline) {
-            sink.frame(progress_frame("lane", Json::from("baseline"), data));
-        }
-        let sempe = join(sempe);
-        if let (Some(sink), Ok(data)) = (sink.as_deref_mut(), &sempe) {
-            sink.frame(progress_frame("lane", Json::from("sempe"), data));
-        }
-        let cte = join(cte);
-        if let (Some(sink), Ok(data)) = (sink, &cte) {
-            sink.frame(progress_frame("lane", Json::from("cte"), data));
-        }
-        (baseline, sempe, cte)
-    });
-    span.mark("simulate");
-    let (baseline, sempe, cte) = (baseline?, sempe?, cte?);
+        .collect();
+    let runs = cx.run(Plan { lanes, fuel, between: None }, &mut |_, _, _| {})?;
+    let [baseline, sempe, cte] = runs.as_slice() else { unreachable!("one run per lane") };
     let outputs_match = baseline.outputs == sempe.outputs && baseline.outputs == cte.outputs;
     let ratio = |r: &RunData| (r.cycles as f64 / baseline.cycles.max(1) as f64 * 1e6).round() / 1e6;
     Ok(Json::obj()
@@ -712,14 +751,13 @@ fn do_sweep(
                 .with("sempe", sempe.to_json())
                 .with("cte", cte.to_json()),
         )
-        .with("overhead", Json::obj().with("sempe", ratio(&sempe)).with("cte", ratio(&cte)))
+        .with("overhead", Json::obj().with("sempe", ratio(sempe)).with("cte", ratio(cte)))
         .with("outputs_match", outputs_match)
         .with("source_hash", hex(fnv1a(source.as_bytes()))))
 }
 
 type BranchHistogram = BTreeMap<Addr, (u64, u64)>;
 
-#[allow(clippy::too_many_arguments)] // request-field plumbing
 fn do_attack(
     source: &str,
     mode: SecurityMode,
@@ -727,10 +765,7 @@ fn do_attack(
     secret_value: Option<u64>,
     candidates: &[u64],
     fuel: u64,
-    arena: &mut Arena,
-    forks: &ForkCache,
-    deadline: Option<Instant>,
-    span: &mut Span,
+    cx: &mut Ctx<'_, '_>,
 ) -> Result<Json, ServiceError> {
     let parsed = parse_source(source)?;
     let vid = match secret {
@@ -749,39 +784,38 @@ fn do_attack(
     }
     let victim_secret = secret_value.unwrap_or_else(|| parsed.program.var_init(vid));
     let sel = attack_sel(mode);
-    let config = sel.sim_config().with_trace();
 
     // The attacker's calibration phase: run the known code under every
     // candidate secret on its own (identical) machine. One compile + one
     // checkpoint; per candidate the fork server restores the checkpoint
     // and patches the secret's data slot — identical, bit for bit, to a
     // cold build with that initializer, without the per-trial setup.
-    span.skip();
-    let cw = compile_sel(&parsed.program, sel)?;
-    span.mark("compile");
+    let (cw, cp) = cx.fork(&parsed.program, sel, sel.sim_config().with_trace())?;
     let secret_addr = cw.var_addr(vid);
-    let cp = forks.get_or_build(cw.program(), config)?;
-    span.mark("checkpoint_restore");
-    let run_with = |value: u64,
-                    arena: &mut Arena,
-                    span: &mut Span|
-     -> Result<(u64, ObservationTrace), ServiceError> {
-        let data =
-            forked_run(&mut arena.sim, &cp, &cw, &[(secret_addr, value)], fuel, deadline, span)?;
-        Ok((data.cycles, arena.sim()?.trace().clone()))
+    let trial = |value: u64| Trial {
+        cw: &cw,
+        start: Start::Restore(&cp),
+        patches: vec![(secret_addr, value)],
+        frame: None,
     };
-    let mut calib: Vec<(u64, u64, ObservationTrace)> = Vec::with_capacity(candidates.len());
-    for (done, &c) in candidates.iter().enumerate() {
-        if expired(deadline) {
-            return Err(deadline_between(done, candidates.len(), "calibration runs"));
-        }
-        let (cycles, trace) = run_with(c, arena, span)?;
-        calib.push((c, cycles, trace));
-    }
+    let calibration = Plan {
+        lanes: vec![candidates.iter().map(|&c| trial(c)).collect()],
+        fuel,
+        between: Some("calibration runs"),
+    };
+    let mut traces = Vec::with_capacity(candidates.len());
+    let runs = cx.run(calibration, &mut |_, _, sim| traces.push(sim.trace().clone()))?;
+    let calib: Vec<(u64, u64, ObservationTrace)> =
+        candidates.iter().zip(&runs).zip(traces).map(|((&c, run), t)| (c, run.cycles, t)).collect();
     // The victim's run (reused when the true secret is also a candidate).
     let victim_trace = match calib.iter().find(|(c, _, _)| *c == victim_secret) {
         Some((_, _, t)) => t.clone(),
-        None => run_with(victim_secret, arena, span)?.1,
+        None => {
+            let victim = Plan { lanes: vec![vec![trial(victim_secret)]], fuel, between: None };
+            let mut trace = ObservationTrace::new();
+            cx.run(victim, &mut |_, _, sim| trace = sim.trace().clone())?;
+            trace
+        }
     };
 
     // Timing attacker (Brumley–Boneh style).
@@ -865,7 +899,6 @@ fn do_attack(
 /// Items run in request order; the response carries one result object
 /// per item (a stream in arrival order) plus, under `leak_check`, the
 /// per-pair leak verdicts.
-#[allow(clippy::too_many_arguments)] // request-field plumbing
 fn do_batch(
     source: &str,
     sel: BackendSel,
@@ -873,27 +906,19 @@ fn do_batch(
     inputs: &[Vec<(String, u64)>],
     leak_check: bool,
     fuel: u64,
-    arena: &mut Arena,
-    forks: &ForkCache,
-    deadline: Option<Instant>,
-    span: &mut Span,
-    mut sink: Option<&mut StreamSink<'_>>,
+    cx: &mut Ctx<'_, '_>,
 ) -> Result<Json, ServiceError> {
     let parsed = parse_source(source)?;
-    span.skip();
-    let cw = compile_sel(&parsed.program, sel)?;
-    span.mark("compile");
     // The stepping rides in the config, so tiered trials share one
     // checkpoint keyed apart from the detailed one; each restored trial
     // then fast-forwards functionally to the first region of interest.
     let base = mode.sim_config(sel);
     let config = if leak_check { base.with_trace() } else { base };
-    let cp = forks.get_or_build(cw.program(), config)?;
-    span.mark("checkpoint_restore");
+    let (cw, cp) = cx.fork(&parsed.program, sel, config)?;
 
     // Resolve every named variable once, before any simulation runs.
-    let mut patched_inputs: Vec<Vec<(Addr, u64)>> = Vec::with_capacity(inputs.len());
-    for item in inputs {
+    let mut trials = Vec::with_capacity(inputs.len());
+    for (idx, item) in inputs.iter().enumerate() {
         let mut patches = Vec::with_capacity(item.len());
         for (name, value) in item {
             let vid = parsed.program.find_var(name).ok_or_else(|| {
@@ -901,51 +926,42 @@ fn do_batch(
             })?;
             patches.push((cw.var_addr(vid), *value));
         }
-        patched_inputs.push(patches);
+        let frame = Some(("item", Json::U64(idx as u64)));
+        trials.push(Trial { cw: &cw, start: Start::Restore(&cp), patches, frame });
     }
 
-    // Items run in request order; each leak pair is judged as soon as
-    // its second item finishes, so at most one trace (the pending even
-    // item's) is retained at a time instead of all N.
-    let mut results: Vec<RunData> = Vec::with_capacity(inputs.len());
+    // Each leak pair is judged as soon as its second item finishes, so
+    // at most one trace (the pending even item's) is retained at a time
+    // instead of all N.
     let mut pairs: Vec<Json> = Vec::with_capacity(inputs.len() / 2);
     let mut all_clear = true;
-    let mut pending_trace: Option<ObservationTrace> = None;
-    for (idx, patches) in patched_inputs.iter().enumerate() {
-        if expired(deadline) {
-            return Err(deadline_between(idx, inputs.len(), "batch items"));
+    let mut pending: Option<(u64, u64, ObservationTrace)> = None;
+    let mut judge = |idx: usize, data: &RunData, sim: &Simulator| {
+        if !leak_check {
+            return;
         }
-        let data = forked_run(&mut arena.sim, &cp, &cw, patches, fuel, deadline, span)?;
-        // Per-trial streaming: the frame flows while later items are
-        // still queued behind this one.
-        if let Some(sink) = sink.as_deref_mut() {
-            sink.frame(progress_frame("item", Json::U64(idx as u64), &data));
-        }
-        if leak_check {
-            let trace = arena.sim()?.trace().clone();
-            match pending_trace.take() {
-                None => pending_trace = Some(trace),
-                Some(first) => {
-                    let a = &results[idx - 1];
-                    let cycles_equal = a.cycles == data.cycles;
-                    let committed_equal = a.committed == data.committed;
-                    let trace_identical =
-                        first_divergence(&first, &trace, Strictness::Full).is_none();
-                    let clear = cycles_equal && committed_equal && trace_identical;
-                    all_clear &= clear;
-                    pairs.push(
-                        Json::obj()
-                            .with("items", vec![idx as u64 - 1, idx as u64])
-                            .with("cycles_equal", cycles_equal)
-                            .with("committed_equal", committed_equal)
-                            .with("trace_identical", trace_identical)
-                            .with("clear", clear),
-                    );
-                }
+        match pending.take() {
+            None => pending = Some((data.cycles, data.committed, sim.trace().clone())),
+            Some((cycles, committed, first)) => {
+                let cycles_equal = cycles == data.cycles;
+                let committed_equal = committed == data.committed;
+                let trace_identical =
+                    first_divergence(&first, sim.trace(), Strictness::Full).is_none();
+                let clear = cycles_equal && committed_equal && trace_identical;
+                all_clear &= clear;
+                pairs.push(
+                    Json::obj()
+                        .with("items", vec![idx as u64 - 1, idx as u64])
+                        .with("cycles_equal", cycles_equal)
+                        .with("committed_equal", committed_equal)
+                        .with("trace_identical", trace_identical)
+                        .with("clear", clear),
+                );
             }
         }
-        results.push(data);
-    }
+    };
+    let plan = Plan { lanes: vec![trials], fuel, between: Some("batch items") };
+    let results = cx.run(plan, &mut judge)?;
 
     let mut body = Json::obj()
         .with("ok", true)
@@ -1073,6 +1089,19 @@ mod tests {
 
     fn run_req(backend: BackendSel, mode: ExecMode) -> Request {
         Request::Run { source: MODEXP.to_string(), backend, mode, max_cycles: 50_000_000 }
+    }
+
+    #[test]
+    fn run_rebuilds_without_touching_the_fork_cache() {
+        // `run` programs are mostly unique: a checkpoint per run would
+        // only evict the checkpoints that `batch` and `attack` reuse.
+        let mut arena = Arena::new();
+        let forks = ForkCache::new(8);
+        for mode in [ExecMode::Detailed, ExecMode::Tiered] {
+            execute(&run_req(BackendSel::Sempe, mode), &mut arena, &forks).unwrap();
+        }
+        assert!(forks.is_empty());
+        assert_eq!(forks.hits() + forks.misses(), 0);
     }
 
     #[test]

@@ -316,15 +316,14 @@ pub(crate) fn supervisor_loop(
 /// (in [`worker_loop`]) — they model worker-thread death and must reach
 /// the supervisor.
 fn execute_guarded(
-    request: &Request,
+    job: &Job,
     arena: &mut Arena,
     forks: &ForkCache,
-    deadline: Option<Instant>,
     span: &mut Span,
     sink: Option<&mut StreamSink<'_>>,
 ) -> Result<String, ServiceError> {
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        exec::execute_streamed(request, arena, forks, deadline, span, sink)
+        exec::execute_streamed(&job.request, arena, forks, job.deadline, span, sink)
     }));
     match caught {
         Ok(result) => result,
@@ -426,26 +425,22 @@ pub(crate) fn worker_loop(shared: &Arc<Shared>) {
     let mut arena = Arena::new();
     while let Some(job) = shared.queue.pop() {
         let queue_wait = job.submitted.elapsed();
-        let refuse = |what: &str| ServiceError::new(ErrorCode::Deadline, what.to_string());
         // A job whose budget died in the queue is answered, not run.
-        if job.deadline.is_some_and(|d| Instant::now() >= d) {
-            shared.deadlines_expired.inc();
-            shared.jobs_served.inc();
-            let err = refuse("deadline expired while the job was queued");
-            observe_job(shared, &job, queue_wait, &Span::begin(), false, None, &Err(err.clone()));
-            let wake = !shared.injector.fire(FaultSite::WakeLost);
-            job.completer.finish(Err(err), wake);
-            continue;
-        }
+        let queued_out = job.deadline.is_some_and(|d| Instant::now() >= d);
         // Fault checkpoints: both panics escape into `spawn_worker`'s
         // top-level guard, killing this thread — the job's completer
         // drop-reports a retryable error, and the supervisor respawns
         // the worker.
-        shared.injector.checkpoint_panic(FaultSite::PanicPre);
-        if shared.injector.wedge(job.deadline) {
+        let refused = if queued_out {
+            Some("deadline expired while the job was queued")
+        } else {
+            shared.injector.checkpoint_panic(FaultSite::PanicPre);
+            shared.injector.wedge(job.deadline).then_some("deadline expired in a wedged simulation")
+        };
+        if let Some(what) = refused {
             shared.deadlines_expired.inc();
             shared.jobs_served.inc();
-            let err = refuse("deadline expired in a wedged simulation");
+            let err = ServiceError::new(ErrorCode::Deadline, what);
             observe_job(shared, &job, queue_wait, &Span::begin(), false, None, &Err(err.clone()));
             let wake = !shared.injector.fire(FaultSite::WakeLost);
             job.completer.finish(Err(err), wake);
@@ -453,64 +448,35 @@ pub(crate) fn worker_loop(shared: &Arc<Shared>) {
         }
         shared.busy_workers.add(1);
         let mut span = Span::begin();
-        let mut cached = false;
-        let result = if job.stream {
-            // Streamed jobs bypass the result cache in both directions:
-            // a cache hit would suppress the progress frames the client
-            // negotiated for, and re-running keeps frame sequences
-            // deterministic.
-            let mut seq: u64 = 0;
-            let mut emit = |body: Json| {
-                let line = render_frame(job.id.as_deref(), seq, body);
-                seq += 1;
-                shared.stream_frames.inc();
-                let wake = !shared.injector.fire(FaultSite::WakeLost);
-                job.completer.frame(line, wake);
-            };
-            let mut sink = StreamSink::new(&mut emit);
-            execute_guarded(
-                &job.request,
-                &mut arena,
-                &shared.forks,
-                job.deadline,
-                &mut span,
-                Some(&mut sink),
-            )
-            .map(|b| Arc::from(b.as_str()))
-        } else {
-            match exec::cache_key(&job.request) {
-                Some(key) => match shared.cache.get(&key) {
-                    Some(hit) => {
-                        cached = true;
-                        Ok(hit)
+        // Streamed jobs bypass the result cache in both directions: a
+        // cache hit would suppress the progress frames the client
+        // negotiated for, and re-running keeps frame sequences
+        // deterministic.
+        let key = if job.stream { None } else { exec::cache_key(&job.request) };
+        let hit = key.as_ref().and_then(|key| shared.cache.get(key));
+        let cached = hit.is_some();
+        let result = match hit {
+            Some(hit) => Ok(hit),
+            None => {
+                let mut seq: u64 = 0;
+                let mut emit = |body: Json| {
+                    let line = render_frame(job.id.as_deref(), seq, body);
+                    seq += 1;
+                    shared.stream_frames.inc();
+                    let wake = !shared.injector.fire(FaultSite::WakeLost);
+                    job.completer.frame(line, wake);
+                };
+                let mut sink = StreamSink::new(&mut emit);
+                let sink = job.stream.then_some(&mut sink);
+                execute_guarded(&job, &mut arena, &shared.forks, &mut span, sink).map(|body| {
+                    let body: Arc<str> = Arc::from(body.as_str());
+                    // An injected insert failure must only lose the
+                    // caching, never the response.
+                    if let Some(key) = key.filter(|_| !shared.injector.fire(FaultSite::CacheFail)) {
+                        shared.cache.insert(key, Arc::clone(&body));
                     }
-                    None => execute_guarded(
-                        &job.request,
-                        &mut arena,
-                        &shared.forks,
-                        job.deadline,
-                        &mut span,
-                        None,
-                    )
-                    .map(|body| {
-                        let body: Arc<str> = Arc::from(body.as_str());
-                        // An injected insert failure must only lose the
-                        // caching, never the response.
-                        if !shared.injector.fire(FaultSite::CacheFail) {
-                            shared.cache.insert(key, Arc::clone(&body));
-                        }
-                        body
-                    }),
-                },
-                None => execute_guarded(
-                    &job.request,
-                    &mut arena,
-                    &shared.forks,
-                    job.deadline,
-                    &mut span,
-                    None,
-                )
-                .map(|b| Arc::from(b.as_str())),
+                    body
+                })
             }
         };
         shared.busy_workers.sub(1);

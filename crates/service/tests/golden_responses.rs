@@ -53,7 +53,10 @@ fn requests() -> Vec<(String, String)> {
             ));
         }
     }
-    out.push(("sweep".into(), format!(r#"{{"type":"sweep","source":{src},"max_cycles":5000000}}"#)));
+    out.push((
+        "sweep".into(),
+        format!(r#"{{"type":"sweep","source":{src},"max_cycles":5000000}}"#),
+    ));
     for (name, mode, candidates) in [
         ("attack/baseline/victim-in", "baseline", "[11,2]"),
         ("attack/sempe/victim-in", "sempe", "[11,2]"),
@@ -137,7 +140,9 @@ fn response_lines_are_byte_identical_to_golden() {
         .iter()
         .zip(&measured)
         .filter(|(want, got)| want.0 != got.0 || want.1 != got.1)
-        .map(|(want, got)| format!("{}: golden {:#018x} != measured {:#018x}", want.0, want.1, got.1))
+        .map(|(want, got)| {
+            format!("{}: golden {:#018x} != measured {:#018x}", want.0, want.1, got.1)
+        })
         .collect();
     assert_eq!(GOLDEN.len(), measured.len(), "one golden digest per request");
     assert!(failures.is_empty(), "response drift:\n{}", failures.join("\n"));
