@@ -1,4 +1,5 @@
-//! The content-addressed result cache.
+//! The content-addressed result cache, and the bounded [`Store`] it
+//! shares with the fork server's checkpoint cache.
 //!
 //! Every compute request is deterministic: the simulator is cycle-exact
 //! and the JSON encoder is byte-stable, so a response is fully determined
@@ -14,6 +15,7 @@
 //! atomics — one source of truth, no drift.
 
 use std::collections::{HashMap, VecDeque};
+use std::hash::Hash;
 use std::sync::{Arc, Mutex};
 
 use sempe_core::telemetry::Counter;
@@ -40,43 +42,48 @@ pub struct CacheKey {
     pub params_digest: u64,
 }
 
-#[derive(Debug, Default)]
-struct CacheInner {
-    map: HashMap<CacheKey, Arc<str>>,
-    order: VecDeque<CacheKey>,
+/// The result cache: encoded response lines by [`CacheKey`].
+pub type ResultCache = Store<CacheKey, Arc<str>>;
+
+#[derive(Debug)]
+struct Fifo<K, V> {
+    map: HashMap<K, V>,
+    order: VecDeque<K>,
 }
 
-/// Bounded, thread-safe response cache with hit/miss accounting.
+/// A bounded, thread-safe FIFO map with hit/miss accounting: the store
+/// behind both the [`ResultCache`] and the fork server's checkpoint
+/// cache. At capacity the oldest entry is evicted; capacity 0 stores
+/// nothing.
 #[derive(Debug)]
-pub struct ResultCache {
+pub struct Store<K, V> {
     capacity: usize,
-    inner: Mutex<CacheInner>,
+    inner: Mutex<Fifo<K, V>>,
     hits: Arc<Counter>,
     misses: Arc<Counter>,
 }
 
-impl ResultCache {
-    /// An empty cache holding at most `capacity` responses, with
-    /// private (unregistered) counters.
+impl<K: Copy + Eq + Hash, V: Clone> Store<K, V> {
+    /// An empty store holding at most `capacity` entries, with private
+    /// (unregistered) counters.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
-        ResultCache::with_counters(capacity, Arc::new(Counter::new()), Arc::new(Counter::new()))
+        Store::with_counters(capacity, Arc::new(Counter::new()), Arc::new(Counter::new()))
     }
 
-    /// An empty cache whose hit/miss accounting lands in the given
+    /// An empty store whose hit/miss accounting lands in the given
     /// counters — typically `registry.counter("cache_hits_total")` /
     /// `…misses_total`, so `stats` and `metrics` render one ledger.
     #[must_use]
     pub fn with_counters(capacity: usize, hits: Arc<Counter>, misses: Arc<Counter>) -> Self {
-        ResultCache { capacity, inner: Mutex::new(CacheInner::default()), hits, misses }
+        let inner = Mutex::new(Fifo { map: HashMap::new(), order: VecDeque::new() });
+        Store { capacity, inner, hits, misses }
     }
 
-    /// Look up a response, counting the hit or miss.
+    /// Look up an entry, counting the hit or miss.
     #[must_use]
-    pub fn get(&self, key: &CacheKey) -> Option<Arc<str>> {
-        let inner = sync::lock(&self.inner);
-        let hit = inner.map.get(key).cloned();
-        drop(inner);
+    pub fn get(&self, key: &K) -> Option<V> {
+        let hit = sync::lock(&self.inner).map.get(key).cloned();
         if hit.is_some() {
             self.hits.inc();
         } else {
@@ -85,10 +92,10 @@ impl ResultCache {
         hit
     }
 
-    /// Store a response, evicting the oldest entry at capacity. A racing
-    /// insert under the same key wins by arrival order; both racers
-    /// computed byte-identical bodies, so either value is correct.
-    pub fn insert(&self, key: CacheKey, value: Arc<str>) {
+    /// Store an entry, evicting the oldest at capacity. A racing insert
+    /// under the same key wins by arrival order; both racers computed
+    /// identical values, so either is correct.
+    pub fn insert(&self, key: K, value: V) {
         if self.capacity == 0 {
             return;
         }
@@ -106,13 +113,13 @@ impl ResultCache {
         }
     }
 
-    /// Number of cached responses.
+    /// Number of stored entries.
     #[must_use]
     pub fn len(&self) -> usize {
         sync::lock(&self.inner).map.len()
     }
 
-    /// Is the cache empty?
+    /// Is the store empty?
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
@@ -130,7 +137,7 @@ impl ResultCache {
         self.hits.get()
     }
 
-    /// Lookups that had to compute.
+    /// Lookups that missed.
     #[must_use]
     pub fn misses(&self) -> u64 {
         self.misses.get()

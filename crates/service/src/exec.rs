@@ -27,8 +27,8 @@
 //! rebuilds instead: its programs are mostly unique, and a checkpoint
 //! per `run` would evict the ones that repeat.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use std::time::Instant;
 
 use sempe_compile::{
@@ -37,15 +37,14 @@ use sempe_compile::{
 use sempe_core::attack::{BranchProfileAttacker, TimingAttacker};
 use sempe_core::hash::{fnv1a, Fnv1a};
 use sempe_core::json::Json;
-use sempe_core::telemetry::{Counter, Span};
+use sempe_core::telemetry::Span;
 use sempe_core::trace::ObservationTrace;
 use sempe_core::{first_divergence, Strictness};
 use sempe_isa::{disasm, Addr, DecodeMode, Program};
 use sempe_sim::{Checkpoint, HostProfile, SecurityMode, SimConfig, SimError, SimResult, Simulator};
 
-use crate::cache::CacheKey;
+use crate::cache::{CacheKey, Store};
 use crate::protocol::{BackendSel, ErrorCode, ExecMode, Request, ServiceError};
-use crate::sync;
 
 /// A worker's reusable simulation arena: one simulator slot per plan
 /// lane.
@@ -80,41 +79,14 @@ impl Arena {
     }
 }
 
-/// Fork-cache key: `(program digest, config digest)`.
-type ForkKey = (u64, u64);
-
-/// FIFO insertion order + keyed checkpoints of the fork cache.
-type ForkStore = (HashMap<ForkKey, Arc<Checkpoint>>, VecDeque<ForkKey>);
-
 /// The shared checkpoint store of the fork server: one immutable
 /// [`Checkpoint`] per `(program digest, config digest)`, built on first
 /// use and shared across the worker pool behind `Arc`s. Bounded FIFO,
 /// like the result cache; two workers racing on a miss both build —
 /// checkpoints are deterministic, so either insert is correct.
-#[derive(Debug)]
-pub struct ForkCache {
-    capacity: usize,
-    inner: Mutex<ForkStore>,
-    hits: Arc<Counter>,
-    misses: Arc<Counter>,
-}
+pub type ForkCache = Store<(u64, u64), Arc<Checkpoint>>;
 
 impl ForkCache {
-    /// An empty store holding at most `capacity` checkpoints, with
-    /// private (unregistered) counters.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        ForkCache::with_counters(capacity, Arc::new(Counter::new()), Arc::new(Counter::new()))
-    }
-
-    /// An empty store whose hit/miss accounting lands in the given
-    /// counters — typically `registry.counter("fork_hits_total")` /
-    /// `…misses_total`, so `stats` and `metrics` render one ledger.
-    #[must_use]
-    pub fn with_counters(capacity: usize, hits: Arc<Counter>, misses: Arc<Counter>) -> Self {
-        ForkCache { capacity, inner: Mutex::new((HashMap::new(), VecDeque::new())), hits, misses }
-    }
-
     /// Fetch the checkpoint for `(prog, config)`, building (and caching)
     /// it on a miss: construct a simulator — paying the decode and image
     /// load exactly once per (program, machine) — and checkpoint it at
@@ -129,50 +101,15 @@ impl ForkCache {
         config: SimConfig,
     ) -> Result<Arc<Checkpoint>, ServiceError> {
         let key = (prog.digest(), config.digest());
-        if let Some(hit) = sync::lock(&self.inner).0.get(&key) {
-            self.hits.inc();
-            return Ok(Arc::clone(hit));
+        if let Some(hit) = self.get(&key) {
+            return Ok(hit);
         }
-        self.misses.inc();
         let mut sim = Simulator::new(prog, config).map_err(compile_err)?;
         let cp = Arc::new(
             sim.checkpoint().map_err(|e| ServiceError::new(ErrorCode::Internal, e.to_string()))?,
         );
-        if self.capacity > 0 {
-            let mut inner = sync::lock(&self.inner);
-            if inner.0.insert(key, Arc::clone(&cp)).is_none() {
-                inner.1.push_back(key);
-                while inner.0.len() > self.capacity {
-                    let Some(oldest) = inner.1.pop_front() else { break };
-                    inner.0.remove(&oldest);
-                }
-            }
-        }
+        self.insert(key, Arc::clone(&cp));
         Ok(cp)
-    }
-
-    /// Checkpoints currently cached.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        sync::lock(&self.inner).0.len()
-    }
-
-    /// Is the store empty?
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Lookups served from the store.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits.get()
-    }
-
-    /// Lookups that had to build a checkpoint.
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses.get()
     }
 }
 

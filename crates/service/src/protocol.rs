@@ -534,7 +534,7 @@ impl Envelope {
         if !matches!(v, Json::Obj(_)) {
             return Err(ServiceError::new(ErrorCode::Parse, "request must be a JSON object"));
         }
-        let id = parse_id(&v)?;
+        let id = parse_id(v.get("id"))?;
         let deadline_ms = match parse_deadline(&v) {
             Ok(d) => d,
             Err(e) => return Ok(Envelope { id, deadline_ms: None, req: Err(e) }),
@@ -544,10 +544,10 @@ impl Envelope {
     }
 }
 
-/// Extract and re-encode the optional `id` member (string or
-/// non-negative integer).
-fn parse_id(v: &Json) -> Result<Option<String>, ServiceError> {
-    match v.get("id") {
+/// Re-encode the optional `id` member (string or non-negative integer),
+/// the one id rule of both front doors.
+pub(crate) fn parse_id(id: Option<&Json>) -> Result<Option<String>, ServiceError> {
+    match id {
         None | Some(Json::Null) => Ok(None),
         Some(id @ (Json::Str(_) | Json::U64(_))) => {
             let encoded = id.encode();
@@ -566,7 +566,7 @@ fn parse_id(v: &Json) -> Result<Option<String>, ServiceError> {
     }
 }
 
-fn parse_deadline(v: &Json) -> Result<Option<u64>, ServiceError> {
+pub(crate) fn parse_deadline(v: &Json) -> Result<Option<u64>, ServiceError> {
     match opt_u64(v, "deadline_ms")? {
         None => Ok(None),
         Some(ms) if (1..=MAX_DEADLINE_MS).contains(&ms) => Ok(Some(ms)),

@@ -33,7 +33,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sempe_core::hash::{fnv1a, Fnv1a};
+use sempe_core::hash::Fnv1a;
 use sempe_core::json::{self, Json, Object};
 use sempe_core::telemetry::{Counter, Gauge, Histogram, Registry};
 
@@ -45,7 +45,8 @@ use crate::conn::{Conn, FrameEvent, Link, Mode};
 use crate::fault::FaultSite;
 use crate::net::{self, Poller};
 use crate::protocol::{
-    op_slot, with_id, ErrorCode, MetricsFormat, Request, ServiceError, COMPUTE_OPS, MAX_ID_BYTES,
+    op_slot, parse_deadline, parse_id, with_id, ErrorCode, MetricsFormat, Request, ServiceError,
+    COMPUTE_OPS,
 };
 use crate::server::LOOP_TICK_MS;
 
@@ -128,6 +129,8 @@ struct Chunk {
     not_before: Instant,
     sends: Vec<SendRec>,
     terminal: Option<String>,
+    /// The terminal's `ok` member, read when it landed.
+    ok: bool,
 }
 
 impl Chunk {
@@ -143,6 +146,7 @@ impl Chunk {
             not_before: now,
             sends: Vec::new(),
             terminal: None,
+            ok: false,
         }
     }
 }
@@ -456,109 +460,22 @@ impl RouterLoop {
         }
     }
 
-    /// The hot path: read a compute request with [`json::object`] and
-    /// forward it without ever building a `Json` tree. Returns false —
-    /// with no side effects — when the slow path must answer the line:
-    /// JSON that `json::parse` rejects too (the slow path answers the
-    /// `E_PARSE` a direct server sends), inline or unknown ops, `batch`
-    /// fan-out, a v2 request without an id, an id that is escaped,
-    /// over-long or not a string or `u64`, and a request without a
-    /// string `source` (or a `batch` without array `inputs`), which the
-    /// slow path rejects.
-    fn try_fast_path(&mut self, token: u64, line: &str, now: Instant) -> bool {
-        let Ok(request) = json::object(line) else { return false };
-        let Some(slot) = request.raw("type").and_then(unquoted).and_then(op_slot) else {
-            return false;
-        };
-        let op = COMPUTE_OPS[slot];
-        // The raw id span doubles as the pre-encoded id. Escaped or
-        // exotic ids take the slow path, which also produces the proper
-        // error for the invalid ones.
-        let id: Option<String> = match request.raw("id") {
-            None => None,
-            Some(raw) => {
-                let valid = match unquoted(raw) {
-                    Some(inner) => !inner.contains('\\'),
-                    None => raw.parse::<u64>().is_ok(),
-                };
-                if !valid || raw.len() > MAX_ID_BYTES {
-                    return false;
-                }
-                Some(raw.to_string())
-            }
-        };
-        let mode = match self.ups.get(&token) {
-            Some(u) => u.mode,
-            None => return true, // connection reaped mid-line: drop it
-        };
-        if mode == Mode::V2 && id.is_none() {
-            return false; // slow path builds the mandatory-id error
-        }
-        // Digest streamed over the decoded source — identical to fnv1a of
-        // the parsed string, so fast- and slow-path requests for the
-        // same program always land on the same shard.
-        let mut source = Fnv1a::new();
-        if !request.str_with("source", |piece| source.write(piece.as_bytes())) {
-            return false;
-        }
-        let digest = source.finish();
-        let mut total_items = 0u64;
-        if op == "batch" {
-            let Some(count) = request.array_len("inputs") else {
-                return false;
-            };
-            total_items = count as u64;
-            if count >= self.cfg.batch_fanout_min && self.available(now).len() >= 2 {
-                return false; // fan-out slices inputs, which needs the tree
-            }
-        }
-        if let Some(refusal) = self.ups.get_mut(&token).and_then(|u| u.check_id(id.as_deref())) {
-            self.reply(token, &refusal, now);
-            return true;
-        }
-        self.metrics.req[slot].inc();
-        if self.jobs.len() >= self.cfg.max_inflight {
-            self.metrics.shed.inc();
-            let hint = self.retry_hint_ms(now);
-            let body = busy_line(
-                &format!("router at max inflight ({}); retry later", self.cfg.max_inflight),
-                hint,
-            );
-            let reply = with_id(&body, id.as_deref());
-            self.reply(token, &reply, now);
-            return true;
-        }
-        let body = request.without("id");
-        let job_id = self.next_job;
-        self.next_job += 1;
-        let job = RJob {
-            upstream: token,
-            id,
-            op,
-            stream_frames: mode == Mode::V2 && matches!(op, "batch" | "sweep"),
-            hedgeable: matches!(op, "compile" | "run" | "attack"),
-            digest,
-            seq: 0,
-            started: now,
-            remaining: 1,
-            chunks: vec![Chunk::new(body, 0, now)],
-            total_items,
-        };
-        self.jobs.insert(job_id, job);
-        self.ready.push_back((job_id, 0));
-        if let Some(u) = self.ups.get_mut(&token) {
-            u.inflight.insert(job_id, ());
-        }
-        true
-    }
-
+    /// Read one upstream line once with [`json::object`]. A compute op
+    /// goes to [`RouterLoop::admit`]; an inline op, and any line the
+    /// reader rejects, goes to [`Conn::admit`], which answers exactly as
+    /// a direct server does.
     fn handle_upstream_line(&mut self, token: u64, line: &str, now: Instant) {
         let trimmed = line.trim();
         if trimmed.is_empty() {
             return;
         }
-        if self.try_fast_path(token, trimmed, now) {
-            return;
+        if let Ok(request) = json::object(trimmed) {
+            let mut op = String::new();
+            request.str_with("type", |piece| op.push_str(piece));
+            if let Some(slot) = op_slot(&op) {
+                self.admit(token, trimmed, &request, slot, now);
+                return;
+            }
         }
         let Some(u) = self.ups.get_mut(&token) else { return };
         let Some((request, id, _)) = u.admit(&self.shared.injector, trimmed, now) else { return };
@@ -597,25 +514,37 @@ impl RouterLoop {
                 self.shared.initiate_shutdown();
                 return;
             }
-            request => {
-                self.admit_job(token, request, trimmed, id, now);
-                return;
-            }
+            // Compute ops never get here: `json::object` reads every
+            // line `Envelope::parse` does, and each went to `admit`.
+            _ => return,
         };
         self.reply(token, &with_id(&body, id.as_deref()), now);
     }
 
-    /// Turn a validated compute request into a router job: digest it,
-    /// fan a large `batch` across the currently-available shards, and
-    /// queue the chunk(s) for dispatch.
-    fn admit_job(
-        &mut self,
-        token: u64,
-        request: Request,
-        line: &str,
-        id: Option<String>,
-        now: Instant,
-    ) {
+    /// Admit one compute request (`request` is `line` read, its op
+    /// `COMPUTE_OPS[slot]`) as a router job: apply the direct server's
+    /// id rules, shed at `max_inflight`, digest `source`, fan a large
+    /// `batch` across the available shards, and queue the chunk(s) for
+    /// dispatch. Every other check of the body is the shard's: a request
+    /// it refuses comes back as the error line a direct server sends.
+    fn admit(&mut self, token: u64, line: &str, request: &Object<'_>, slot: usize, now: Instant) {
+        let op = COMPUTE_OPS[slot];
+        // The id span was validated with the line, so it parses.
+        let id = parse_id(request.raw("id").and_then(|raw| json::parse(raw).ok()).as_ref());
+        let Some(u) = self.ups.get_mut(&token) else { return };
+        let id = match id {
+            Ok(id) => id,
+            Err(e) => {
+                u.send(&self.shared.injector, &e.to_json(), now);
+                return;
+            }
+        };
+        if let Some(refusal) = u.check_id(id.as_deref()) {
+            u.send(&self.shared.injector, &refusal, now);
+            return;
+        }
+        let mode = u.mode;
+        self.metrics.req[slot].inc();
         if self.jobs.len() >= self.cfg.max_inflight {
             self.metrics.shed.inc();
             let hint = self.retry_hint_ms(now);
@@ -626,60 +555,46 @@ impl RouterLoop {
             self.reply(token, &with_id(&body, id.as_deref()), now);
             return;
         }
-        let source = match &request {
-            Request::Compile { source, .. }
-            | Request::Run { source, .. }
-            | Request::Sweep { source, .. }
-            | Request::Attack { source, .. }
-            | Request::Batch { source, .. } => source.as_str(),
-            // Inline ops were handled by the caller.
-            _ => return,
-        };
-        let digest = fnv1a(source.as_bytes());
-        let mode = self.ups.get(&token).map_or(Mode::Legacy, |u| u.mode);
+        // Digest streamed over the decoded source, so every request for
+        // one program lands on one shard.
+        let mut source = Fnv1a::new();
+        request.str_with("source", |piece| source.write(piece.as_bytes()));
+        let total_items = if op == "batch" { request.array_len("inputs").unwrap_or(0) } else { 0 };
         let available = self.available(now).len();
-        let mut total_items = 0u64;
-        let mut chunks: Option<Vec<Chunk>> = None;
-        if let Request::Batch { inputs, leak_check, .. } = &request {
-            total_items = inputs.len() as u64;
-            if inputs.len() >= self.cfg.batch_fanout_min && available >= 2 {
-                // Fan-out slices `inputs`: the one step that needs a tree.
-                let Ok(tree) = json::parse(line) else { return };
-                chunks = merge::split_batch(&tree, available, *leak_check).map(|parts| {
-                    parts
-                        .into_iter()
-                        .map(|(body, offset, _)| Chunk::new(body, offset, now))
-                        .collect()
-                });
+        let mut chunks = None;
+        if op == "batch" && total_items >= self.cfg.batch_fanout_min && available >= 2 {
+            // Fan-out slices `inputs`: the one step that needs a tree. The
+            // request is checked first, as a direct server would check it,
+            // because `split_batch` trusts its shape.
+            let Ok(tree) = json::parse(line) else { return };
+            if let Err(e) = parse_deadline(&tree).and_then(|_| Request::from_json(&tree)) {
+                self.reply(token, &with_id(&e.to_json(), id.as_deref()), now);
+                return;
             }
+            let leak_check = tree.get("leak_check").and_then(Json::as_bool) == Some(true);
+            chunks = merge::split_batch(&tree, available, leak_check).map(|parts| {
+                parts.into_iter().map(|(body, offset, _)| Chunk::new(body, offset, now)).collect()
+            });
         }
-        let chunks = match chunks {
-            Some(chunks) => chunks,
-            None => {
-                let Ok(request) = json::object(line) else { return };
-                vec![Chunk::new(request.without("id"), 0, now)]
-            }
-        };
+        let chunks: Vec<Chunk> =
+            chunks.unwrap_or_else(|| vec![Chunk::new(request.without("id"), 0, now)]);
         let job_id = self.next_job;
         self.next_job += 1;
-        let op = request.op_name();
-        let stream_frames = mode == Mode::V2 && request.is_heavy();
+        self.ready.extend((0..chunks.len()).map(|ci| (job_id, ci)));
         let job = RJob {
             upstream: token,
             id,
             op,
-            stream_frames,
+            stream_frames: mode == Mode::V2 && matches!(op, "batch" | "sweep"),
             hedgeable: matches!(op, "compile" | "run" | "attack"),
-            digest,
+            digest: source.finish(),
             seq: 0,
             started: now,
             remaining: chunks.len(),
             chunks,
-            total_items,
+            total_items: total_items as u64,
         };
-        let n_chunks = job.chunks.len();
         self.jobs.insert(job_id, job);
-        self.ready.extend((0..n_chunks).map(|ci| (job_id, ci)));
         if let Some(u) = self.ups.get_mut(&token) {
             u.inflight.insert(job_id, ());
         }
@@ -816,11 +731,8 @@ impl RouterLoop {
         let out = if job.chunks.len() == 1 {
             let line = job.chunks[0].terminal.as_deref().unwrap_or("");
             merge::rewrite_terminal(line, job.id.as_deref())
-        } else if let Some(err) = job
-            .chunks
-            .iter()
-            .filter_map(|c| c.terminal.as_deref())
-            .find(|t| json::object(t).ok().and_then(|reply| reply.raw("ok")) != Some("true"))
+        } else if let Some(err) =
+            job.chunks.iter().find(|c| !c.ok).and_then(|c| c.terminal.as_deref())
         {
             // One chunk failed non-retryably (bad program, sim error):
             // every chunk of the same program fails identically, so the
@@ -989,6 +901,7 @@ impl RouterLoop {
                 let stale: Vec<(usize, String)> =
                     chunk.sends.drain(..).map(|s| (s.shard, s.sid)).collect();
                 chunk.terminal = Some(line.to_string());
+                chunk.ok = ok;
                 job.remaining -= 1;
                 Verdict::Accept { sent_at, stale, done: job.remaining == 0 }
             }

@@ -12,14 +12,18 @@
 //! `shard` provenance.
 //!
 //! The router reads JSON only through `sempe_core::json`, the grammar
-//! the shards parse with. A compute request or a shard reply is read
-//! once with `json::object`, which validates the whole line as
-//! `json::parse` does but builds no tree: the router looks at a few
-//! top-level members, digests `source` as it is decoded, and cuts or
-//! splices the `id` in the text. Only a `batch` fan-out builds a tree,
-//! to slice its `inputs`. So every line the router forwards is one the
-//! shard can parse, and a line it cannot read gets the same `E_PARSE`
-//! a direct connection gets.
+//! the shards parse with. Every upstream line and every shard reply is
+//! read once with `json::object`, which validates the whole line as
+//! `json::parse` does but builds no tree. A compute request goes to one
+//! admit function: it reads the id with the direct server's rule,
+//! digests `source` as it is decoded, and cuts the `id` out of the
+//! text. Only a `batch` that fans out builds a tree, exactly one: it is
+//! checked as a direct server checks it and then sliced into chunks.
+//! Every other check of a compute request is left to the shard, whose
+//! error line comes back unchanged but for the id. Inline ops, and lines
+//! `json::object` rejects, are answered by the connection layer the
+//! server uses, so a line the router cannot read gets the `E_PARSE` a
+//! direct connection gets.
 //!
 //! The robustness half is the point: per-shard health probes, connect
 //! and request deadlines with jittered retry, hedged resubmission of

@@ -5,8 +5,9 @@
 //! against a router, and the error replies must carry the same `code`
 //! and message on both. The cases cover the per-connection protocol
 //! rules both front doors enforce: oversized-line recovery, the v2 id
-//! rules, the `hello` upgrade, v1 serialization, and the slow-loris
-//! frame timeout.
+//! rules, the `hello` upgrade, v1 serialization, the slow-loris frame
+//! timeout, the id rule (escaped, `null`, over-long and non-integer
+//! ids) and the body checks a compute request must pass.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -174,6 +175,64 @@ fn stalled_frame(addr: SocketAddr) -> Vec<(String, String)> {
     vec![err]
 }
 
+/// Send `line` with `id_member` spliced in as its first member and
+/// return the reply line.
+fn reply_with_id(addr: SocketAddr, line: &str, id_member: &str) -> String {
+    let mut c = Client::connect(addr);
+    c.send_line(&line.replacen('{', &format!("{{{id_member},"), 1));
+    c.recv().expect("a reply")
+}
+
+fn escaped_string_id(addr: SocketAddr) -> Vec<(String, String)> {
+    let reply = reply_with_id(addr, &run_line(2), r#""id":"\u0061b""#);
+    assert!(reply.starts_with(r#"{"id":"ab","ok":true"#), "canonical id echoed: {reply}");
+    // Over-long as written, short once decoded: the limit reads the
+    // encoded id.
+    let long_raw = format!(r#""id":"{}""#, r"\u0061".repeat(40));
+    let reply = reply_with_id(addr, &run_line(2), &long_raw);
+    assert!(reply.starts_with(&format!(r#"{{"id":"{}","ok":true"#, "a".repeat(40))), "{reply}");
+    Vec::new()
+}
+
+fn null_id_on_v1(addr: SocketAddr) -> Vec<(String, String)> {
+    let reply = reply_with_id(addr, &run_line(2), r#""id":null"#);
+    assert!(reply.starts_with(r#"{"ok":true"#), "a null id is no id: {reply}");
+    Vec::new()
+}
+
+fn over_long_id(addr: SocketAddr) -> Vec<(String, String)> {
+    // 127 characters encode to 129 bytes with their quotes.
+    let id = format!(r#""id":"{}""#, "x".repeat(127));
+    let reply = reply_with_id(addr, &run_line(2), &id);
+    assert!(reply.starts_with(r#"{"ok":false"#), "an invalid id is not echoed: {reply}");
+    vec![error_of(&json::parse(&reply).expect("reply parses"))]
+}
+
+fn non_integer_id(addr: SocketAddr) -> Vec<(String, String)> {
+    let reply = reply_with_id(addr, &run_line(2), r#""id":1.5"#);
+    assert!(reply.starts_with(r#"{"ok":false"#), "an invalid id is not echoed: {reply}");
+    vec![error_of(&json::parse(&reply).expect("reply parses"))]
+}
+
+/// A request the body checks refuse: the reply echoes the id.
+fn refused_body(addr: SocketAddr, line: &str) -> Vec<(String, String)> {
+    let reply = reply_with_id(addr, line, r#""id":"r""#);
+    assert!(reply.starts_with(r#"{"id":"r","ok":false"#), "{reply}");
+    vec![error_of(&json::parse(&reply).expect("reply parses"))]
+}
+
+fn zero_deadline(addr: SocketAddr) -> Vec<(String, String)> {
+    refused_body(addr, &run_line(2).replacen('{', r#"{"deadline_ms":0,"#, 1))
+}
+
+fn run_without_source(addr: SocketAddr) -> Vec<(String, String)> {
+    refused_body(addr, r#"{"type":"run","backend":"sempe"}"#)
+}
+
+fn unknown_backend(addr: SocketAddr) -> Vec<(String, String)> {
+    refused_body(addr, &run_line(2).replace(r#""backend":"sempe""#, r#""backend":"gpu""#))
+}
+
 #[test]
 fn server_and_router_front_doors_answer_alike() {
     let direct = Server::start(&ServiceConfig {
@@ -205,13 +264,20 @@ fn server_and_router_front_doors_answer_alike() {
         std::thread::sleep(Duration::from_millis(20));
     }
 
-    let cases: [(&str, Case); 6] = [
+    let cases: [(&str, Case); 13] = [
         ("oversized line", oversized_line),
         ("v2 request without an id", v2_without_id),
         ("unsupported proto and duplicate hello", bad_hellos),
         ("replayed id", replayed_id),
         ("pipelined v1 runs", pipelined_v1_runs),
         ("stalled partial frame", stalled_frame),
+        ("escaped string id", escaped_string_id),
+        ("null id on v1", null_id_on_v1),
+        ("129-byte id", over_long_id),
+        ("non-integer id", non_integer_id),
+        ("deadline_ms 0", zero_deadline),
+        ("run without a source", run_without_source),
+        ("unknown backend", unknown_backend),
     ];
     for (name, case) in cases {
         let via_server = case(direct.local_addr());

@@ -3,7 +3,8 @@
 //! provenance, byte-identical terminals), surviving a `kill -9` of a
 //! shard mid-batch with zero duplicated or lost trials, the
 //! circuit-breaker open → close lifecycle against a flapping shard, and
-//! malformed lines answered exactly as a direct server answers them.
+//! malformed lines and refused fan-out batches answered exactly as a
+//! direct server answers them.
 
 use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Write};
@@ -468,6 +469,58 @@ fn lines_broken_inside_a_nested_value_get_the_direct_parse_error_at_once() {
     writeln!(stream, "{}", run_line(3)).expect("send run");
     let resp = read_line(&mut reader);
     assert!(resp.contains(r#""ok":true"#), "{resp}");
+
+    router.shutdown();
+    router.join();
+    for shard in [shard_a, shard_b] {
+        shard.shutdown();
+        shard.join();
+    }
+}
+
+#[test]
+fn fanned_out_batches_are_checked_and_echoed_as_a_direct_server_does() {
+    // Two healthy shards and batches over `batch_fanout_min`: each line
+    // below would fan out, so the router itself must refuse what a
+    // direct server refuses, with the same bytes, and echo the id the
+    // direct server echoes.
+    let shard_a = Server::start(&ServiceConfig::default()).expect("shard a");
+    let shard_b = Server::start(&ServiceConfig::default()).expect("shard b");
+    let cfg = fast_config(vec![shard_a.local_addr().to_string(), shard_b.local_addr().to_string()]);
+    let router = Router::start(&cfg).expect("router");
+    wait_healthy(router.local_addr(), 2, Duration::from_secs(10));
+
+    let odd_leak_check =
+        batch_line("odd", &[1, 2, 3, 4, 5]).replacen(r#""type""#, r#""leak_check":true,"type""#, 1);
+    let non_integer = batch_line("frac", &[1, 2, 3, 4, 5]).replacen(r#""n":2"#, r#""n":1.5"#, 1);
+    for line in [odd_leak_check, non_integer] {
+        let direct = roundtrip(shard_a.local_addr(), &line);
+        assert!(direct.contains(r#""code":"E_BAD_REQUEST""#), "{direct}");
+        assert_eq!(roundtrip(router.local_addr(), &line), direct, "{line}");
+    }
+
+    // A valid fanned-out batch sent with an escaped string id: every
+    // frame and the terminal carry the canonical id.
+    let line = batch_line(r"\u0062f", &[3, 3, 3, 3, 3, 3]);
+    let terminal = |addr| {
+        let (mut stream, mut reader) = connect(addr);
+        hello(&mut stream, &mut reader);
+        writeln!(stream, "{line}").expect("send batch");
+        let mut shards = HashSet::new();
+        loop {
+            let resp = read_line(&mut reader);
+            assert!(resp.starts_with(r#"{"id":"bf","#), "canonical id: {resp}");
+            let v = json::parse(&resp).expect("parses");
+            if v.get("partial").and_then(Json::as_bool) != Some(true) {
+                break (resp, shards);
+            }
+            shards.extend(v.get("shard").and_then(Json::as_u64));
+        }
+    };
+    let (routed, shards) = terminal(router.local_addr());
+    let (direct, _) = terminal(shard_a.local_addr());
+    assert_eq!(shards.len(), 2, "the batch fanned out across both shards");
+    assert_eq!(routed, direct, "merged terminal is byte-identical");
 
     router.shutdown();
     router.join();
