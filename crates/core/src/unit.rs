@@ -76,7 +76,7 @@ pub struct UnitEffect {
 
 /// The SeMPE mechanism state machine. See the module docs for the event
 /// protocol.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SempeUnit {
     config: SempeConfig,
     jbtable: JumpBackTable,
@@ -105,6 +105,31 @@ pub struct SempeStats {
     pub max_nesting: usize,
     /// jbTable entries removed by squash recovery.
     pub squashed_sjmps: u64,
+}
+
+impl Clone for SempeUnit {
+    fn clone(&self) -> Self {
+        SempeUnit {
+            config: self.config,
+            jbtable: self.jbtable.clone(),
+            spm: self.spm.clone(),
+            snapshots: self.snapshots.clone(),
+            stats: self.stats,
+            writes_scratch: self.writes_scratch.clone(),
+        }
+    }
+
+    /// Field by field, so the snapshot and scratch buffers keep their
+    /// allocations across a simulator restore.
+    fn clone_from(&mut self, source: &Self) {
+        let SempeUnit { config, jbtable, spm, snapshots, stats, writes_scratch } = self;
+        *config = source.config;
+        jbtable.clone_from(&source.jbtable);
+        spm.clone_from(&source.spm);
+        snapshots.clone_from(&source.snapshots);
+        *stats = source.stats;
+        writes_scratch.clone_from(&source.writes_scratch);
+    }
 }
 
 impl SempeUnit {

@@ -86,6 +86,10 @@ pub struct Memory {
     /// `(page number, page index)` of pages written since the last sync
     /// point, each recorded once per epoch.
     dirty: Vec<(u64, u32)>,
+    /// Unmapped page allocations kept for reuse: [`Memory::reset`] and
+    /// restores park pages here, and a write to an unmapped page takes
+    /// one (zeroed) before allocating.
+    spare: Vec<Box<[u8; PAGE_SIZE]>>,
 }
 
 impl Default for Memory {
@@ -98,6 +102,7 @@ impl Default for Memory {
             epoch: 0,
             page_epoch: Vec::new(),
             dirty: Vec::new(),
+            spare: Vec::new(),
         }
     }
 }
@@ -107,6 +112,30 @@ impl Memory {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Become `Memory::new()`: unmap every page and stop dirty tracking,
+    /// keeping the page allocations for the next image.
+    pub fn reset(&mut self) {
+        let Memory { pages, index, last, sync_id, epoch, page_epoch, dirty, spare } = self;
+        spare.append(pages);
+        index.clear();
+        last.set((NO_PAGE, 0));
+        *sync_id = 0;
+        *epoch = 0;
+        page_epoch.clear();
+        dirty.clear();
+    }
+
+    /// A zeroed page: a spare one if there is one, else a new one.
+    fn fresh_page(spare: &mut Vec<Box<[u8; PAGE_SIZE]>>) -> Box<[u8; PAGE_SIZE]> {
+        match spare.pop() {
+            Some(mut page) => {
+                page.fill(0);
+                page
+            }
+            None => Box::new([0; PAGE_SIZE]),
+        }
     }
 
     /// Number of pages currently allocated.
@@ -138,7 +167,8 @@ impl Memory {
                 Entry::Occupied(e) => *e.get(),
                 Entry::Vacant(v) => {
                     let idx = u32::try_from(self.pages.len()).expect("page count fits u32");
-                    self.pages.push(Box::new([0; PAGE_SIZE]));
+                    let page = Self::fresh_page(&mut self.spare);
+                    self.pages.push(page);
                     if self.sync_id != 0 {
                         self.page_epoch.push(0);
                     }
@@ -189,15 +219,23 @@ impl Memory {
                     self.index.remove(&page_no);
                 }
             }
-            self.pages.truncate(snap_len);
+            if self.pages.len() > snap_len {
+                self.spare.extend(self.pages.drain(snap_len..));
+            }
             self.page_epoch.truncate(snap_len);
             self.dirty.clear();
             self.epoch += 1;
         } else {
-            // `clone_from` copies into the existing page boxes for the
-            // common prefix and allocates only the delta — a worker
-            // alternating between programs resyncs without churning
-            // every 4 KiB allocation.
+            // `clone_from` copies into the existing page boxes, topped up
+            // from the spare pages, and allocates only what is still
+            // missing — a worker alternating between programs resyncs
+            // without churning every 4 KiB allocation.
+            let want = snap.pages.len();
+            if self.pages.len() > want {
+                self.spare.extend(self.pages.drain(want..));
+            }
+            let reuse = want.saturating_sub(self.pages.len()).min(self.spare.len());
+            self.pages.extend(self.spare.drain(self.spare.len() - reuse..));
             self.pages.clone_from(&snap.pages);
             self.index.clone_from(&snap.index);
             self.sync_id = snap.id;

@@ -7,6 +7,9 @@ use crate::decode::{decode_region, DecodeMode};
 use crate::error::{DecodeError, ExecError};
 use crate::insn::Inst;
 use crate::mem::Memory;
+use crate::opcode::{Format, Opcode};
+use crate::reg::Reg;
+use crate::semantics::access_width;
 use crate::Addr;
 
 /// Conventional memory layout used by the assembler and code generators.
@@ -126,6 +129,24 @@ impl Program {
         h.finish()
     }
 
+    /// A content key of the loadable image for in-process caches: equal
+    /// for images that load identically, like [`Program::digest`], but
+    /// hashed a word at a time, so keying a large data image costs a
+    /// fraction of the byte-wise digest. Not stable across releases and
+    /// never sent anywhere; the digest is the wire identity.
+    #[must_use]
+    pub fn content_key(&self) -> u64 {
+        let mut h = crate::hash::WordHash::new();
+        h.write_u64(self.code_base);
+        h.write_u64(self.entry);
+        h.write(&self.code);
+        for (addr, image) in &self.data {
+            h.write_u64(*addr);
+            h.write(image);
+        }
+        h.finish()
+    }
+
     /// Load code and initial data into a memory image.
     pub fn load_into(&self, mem: &mut Memory) {
         mem.load_image(self.code_base, &self.code);
@@ -134,54 +155,205 @@ impl Program {
         }
     }
 
-    /// Decode the whole code region with the given front end.
+    /// Decode the whole code region with the given front end into one
+    /// [`Uop`] record per instruction.
     ///
     /// # Errors
     ///
     /// Returns the first [`DecodeError`] in the image.
     pub fn decoded(&self, mode: DecodeMode) -> Result<DecodedProgram, DecodeError> {
         let decoded = decode_region(&self.code, self.code_base, mode)?;
-        let mut insts = Vec::with_capacity(decoded.len());
         let mut starts = vec![NO_INST; self.code.len()];
-        for (addr, inst, len) in decoded {
-            let off = (addr - self.code_base) as usize;
-            starts[off] = insts.len() as u32;
-            insts.push((inst, len as u8));
+        for (index, &(addr, _, _)) in decoded.iter().enumerate() {
+            starts[(addr - self.code_base) as usize] = index as u32;
         }
+        let index_of = |pc: Addr| {
+            starts.get(pc.wrapping_sub(self.code_base) as usize).copied().unwrap_or(NO_INST)
+        };
+        let uops =
+            decoded.iter().map(|&(addr, inst, len)| Uop::new(inst, addr, len, &index_of)).collect();
         Ok(DecodedProgram {
             entry: self.entry,
             code_base: self.code_base,
             code_end: self.code_base + self.code.len() as Addr,
-            insts,
+            mode,
+            code: self.code.clone(),
+            uops,
             starts,
         })
     }
 }
 
-/// Sentinel in the byte-offset index marking "no instruction starts here".
-const NO_INST: u32 = u32::MAX;
+/// Sentinel µop index: "no instruction starts here" — a PC off the
+/// decoded region or inside an instruction.
+pub const NO_INST: u32 = u32::MAX;
 
-/// A program decoded for execution: instruction lookup by address.
+/// Which execution latency a µop is charged. The simulator maps a class
+/// to cycles through a small table built from its latency configuration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
+pub enum LatClass {
+    /// Everything not listed below (ALU ops, moves, memory address
+    /// generation, `NOP`).
+    Alu,
+    /// `MUL`.
+    Mul,
+    /// The integer divider: `DIV`, `REM`, `DIVU`, `REMU`.
+    Div,
+    /// `FADD`, `FSUB`.
+    FpAdd,
+    /// `FMUL`.
+    FpMul,
+    /// The FP divider: `FDIV`.
+    FpDiv,
+    /// Conditional branches, `JAL`, `JALR`.
+    Branch,
+}
+
+impl LatClass {
+    /// Number of classes (the size of a latency table).
+    pub const COUNT: usize = 7;
+
+    /// The class of `op`.
+    #[must_use]
+    pub const fn of(op: Opcode) -> LatClass {
+        match op {
+            Opcode::Mul => LatClass::Mul,
+            Opcode::Div | Opcode::Rem | Opcode::Divu | Opcode::Remu => LatClass::Div,
+            Opcode::Fadd | Opcode::Fsub => LatClass::FpAdd,
+            Opcode::Fmul => LatClass::FpMul,
+            Opcode::Fdiv => LatClass::FpDiv,
+            Opcode::Jal | Opcode::Jalr => LatClass::Branch,
+            op if op.is_cond_branch() => LatClass::Branch,
+            _ => LatClass::Alu,
+        }
+    }
+}
+
+/// One decoded instruction as the simulator's stages read it: every fact
+/// that is fixed per instruction, derived once at decode instead of per
+/// fetch, rename, issue and commit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Uop {
+    /// The instruction itself (operation, registers, immediate).
+    pub inst: Inst,
+    /// Direct-branch target (conditional branches and `JAL`), else 0.
+    pub target: Addr,
+    /// Index of the instruction at `target`, or [`NO_INST`].
+    pub target_index: u32,
+    /// Index of the fall-through instruction, or [`NO_INST`] at the end
+    /// of the code.
+    pub next_index: u32,
+    /// Class bits: [`Uop::LOAD`], [`Uop::STORE`] and the rest.
+    pub flags: u16,
+    /// Architectural destination register, as [`Inst::dest`].
+    pub dest: Option<Reg>,
+    /// Source registers, as [`Inst::sources`].
+    pub srcs: [Option<Reg>; 2],
+    /// Access width in bytes of a load or store, else 0.
+    pub width: u8,
+    /// Execution latency class.
+    pub lat: LatClass,
+    /// Encoded length in bytes.
+    pub len: u8,
+}
+
+impl Uop {
+    /// A memory load.
+    pub const LOAD: u16 = 1 << 0;
+    /// A memory store.
+    pub const STORE: u16 = 1 << 1;
+    /// A conditional branch (secure or not).
+    pub const COND_BRANCH: u16 = 1 << 2;
+    /// A conditional branch carrying the SecPrefix under this decode.
+    pub const SJMP: u16 = 1 << 3;
+    /// `JAL`.
+    pub const JAL: u16 = 1 << 4;
+    /// `JALR`.
+    pub const JALR: u16 = 1 << 5;
+    /// The eosJMP marker.
+    pub const EOS: u16 = 1 << 6;
+    /// `HALT`.
+    pub const HALT: u16 = 1 << 7;
+    /// Executes on the floating-point side ([`Opcode::is_fp`]).
+    pub const FP: u16 = 1 << 8;
+    /// Waits in an issue queue (everything but `NOP`, `HALT`, eosJMP).
+    pub const NEEDS_IQ: u16 = 1 << 9;
+    /// Reads its destination register as an input ([`Inst::reads_dest`]).
+    pub const READS_DEST: u16 = 1 << 10;
+    /// The second operand is `rs2`, not the immediate (register-register
+    /// format).
+    pub const SRC2_REG: u16 = 1 << 11;
+
+    /// The record of `inst`, encoded in `len` bytes at `pc`;
+    /// `index_of` resolves an address to its instruction index.
+    fn new(inst: Inst, pc: Addr, len: usize, index_of: &impl Fn(Addr) -> u32) -> Uop {
+        let op = inst.op;
+        let bits = [
+            (op.is_load(), Uop::LOAD),
+            (op.is_store(), Uop::STORE),
+            (op.is_cond_branch(), Uop::COND_BRANCH),
+            (inst.is_sjmp(), Uop::SJMP),
+            (op == Opcode::Jal, Uop::JAL),
+            (op == Opcode::Jalr, Uop::JALR),
+            (op == Opcode::EosJmp, Uop::EOS),
+            (op == Opcode::Halt, Uop::HALT),
+            (op.is_fp(), Uop::FP),
+            (!matches!(op, Opcode::Nop | Opcode::Halt | Opcode::EosJmp), Uop::NEEDS_IQ),
+            (inst.reads_dest(), Uop::READS_DEST),
+            (op.format() == Format::R3, Uop::SRC2_REG),
+        ];
+        let flags = bits.iter().filter(|(on, _)| *on).fold(0, |f, (_, bit)| f | bit);
+        let direct = op.is_cond_branch() || op == Opcode::Jal;
+        let target = if direct { inst.branch_target(pc, len) } else { 0 };
+        Uop {
+            inst,
+            target,
+            target_index: if direct { index_of(target) } else { NO_INST },
+            next_index: index_of(pc + len as Addr),
+            flags,
+            dest: inst.dest(),
+            srcs: inst.sources(),
+            width: if op.is_load() || op.is_store() { access_width(op) } else { 0 },
+            lat: LatClass::of(op),
+            len: len as u8,
+        }
+    }
+
+    /// Does this µop carry every bit of `flags`?
+    #[inline]
+    #[must_use]
+    pub const fn has(&self, flags: u16) -> bool {
+        self.flags & flags == flags
+    }
+}
+
+/// A program decoded for execution: one [`Uop`] record per instruction,
+/// in address order, and lookup by address.
 ///
 /// The cycle-level simulator still charges instruction-cache timing for the
 /// *bytes*; this structure only provides the semantic view, the way a
-/// decoded-µop structure would.
+/// decoded-µop cache would.
 ///
-/// Lookup is a dense, offset-indexed array rather than a hash map: the
-/// simulator front end fetches up to 8 instructions per simulated cycle,
-/// so [`DecodedProgram::try_fetch`] is one of the hottest operations in
-/// the whole reproduction. `starts[pc - code_base]` resolves a byte
-/// offset to an index into the address-ordered instruction array (or the
-/// `NO_INST` sentinel for mid-instruction offsets), making both fetch
-/// paths two bounds-checked array reads.
+/// Execution steps by instruction index: each record names the index of
+/// its fall-through and of its direct-branch target, so straight-line
+/// fetch and taken direct branches never consult the address map. The
+/// map — `starts[pc - code_base]`, the index of the instruction starting
+/// at that byte or [`NO_INST`] mid-instruction — only turns a computed
+/// PC (a return, an indirect jump, a squash or eosJMP redirect) into an
+/// index.
 #[derive(Debug, Clone)]
 pub struct DecodedProgram {
     entry: Addr,
     code_base: Addr,
     code_end: Addr,
-    /// `(instruction, encoded length)` in address order.
-    insts: Vec<(Inst, u8)>,
-    /// Per code byte: index into `insts` when an instruction starts at
+    mode: DecodeMode,
+    /// The decoded bytes, so a rebuild can tell whether a program's code
+    /// is this decode's (see [`DecodedProgram::is_decode_of`]).
+    code: Vec<u8>,
+    /// One record per instruction, in address order.
+    uops: Vec<Uop>,
+    /// Per code byte: index into `uops` when an instruction starts at
     /// that offset, [`NO_INST`] otherwise.
     starts: Vec<u32>,
 }
@@ -208,13 +380,43 @@ impl DecodedProgram {
     /// Number of decoded instructions.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.insts.len()
+        self.uops.len()
     }
 
     /// Is the program empty?
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.insts.is_empty()
+        self.uops.is_empty()
+    }
+
+    /// Is this the decode of `prog`'s code under `mode`? True when the
+    /// code bytes, code base, entry and decode mode all match; data
+    /// images do not enter the decode.
+    #[must_use]
+    pub fn is_decode_of(&self, prog: &Program, mode: DecodeMode) -> bool {
+        self.mode == mode
+            && self.code_base == prog.code_base
+            && self.entry == prog.entry
+            && self.code == prog.code
+    }
+
+    /// Index of the instruction starting at `pc`, or [`NO_INST`] when
+    /// `pc` is outside the code region or inside an instruction.
+    #[must_use]
+    #[inline]
+    pub fn index_of(&self, pc: Addr) -> u32 {
+        self.starts.get(pc.wrapping_sub(self.code_base) as usize).copied().unwrap_or(NO_INST)
+    }
+
+    /// The record at instruction index `index`.
+    ///
+    /// # Panics
+    ///
+    /// When `index` is not below [`DecodedProgram::len`].
+    #[must_use]
+    #[inline]
+    pub fn uop(&self, index: u32) -> &Uop {
+        &self.uops[index as usize]
     }
 
     /// Fetch the instruction at `pc`.
@@ -227,30 +429,23 @@ impl DecodedProgram {
         self.try_fetch(pc).ok_or(ExecError::FetchFault { pc })
     }
 
-    /// Fetch without failing: `None` for a bad `pc`. Used by the simulator
-    /// front end while running down a wrong path — O(1), two array reads.
+    /// Fetch without failing: `None` for a bad `pc`.
     #[must_use]
     #[inline]
     pub fn try_fetch(&self, pc: Addr) -> Option<(Inst, usize)> {
-        let off = pc.wrapping_sub(self.code_base);
-        match self.starts.get(off as usize) {
-            Some(&idx) if idx != NO_INST => {
-                let (inst, len) = self.insts[idx as usize];
-                Some((inst, len as usize))
-            }
-            _ => None,
-        }
+        let u = self.uops.get(self.index_of(pc) as usize)?;
+        Some((u.inst, u.len as usize))
     }
 
     /// Iterate over `(addr, inst)` pairs in address order. Walks the
-    /// dense instruction array directly; no per-call collection or sort.
+    /// dense record array directly; no per-call collection or sort.
     pub fn iter(&self) -> impl Iterator<Item = (Addr, Inst)> + '_ {
         let base = self.code_base;
         let mut offset: Addr = 0;
-        self.insts.iter().map(move |&(inst, len)| {
+        self.uops.iter().map(move |u| {
             let addr = base + offset;
-            offset += len as Addr;
-            (addr, inst)
+            offset += Addr::from(u.len);
+            (addr, u.inst)
         })
     }
 }

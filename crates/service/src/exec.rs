@@ -80,9 +80,9 @@ impl Arena {
 }
 
 /// The shared checkpoint store of the fork server: one immutable
-/// [`Checkpoint`] per `(program digest, config digest)`, built on first
-/// use and shared across the worker pool behind `Arc`s. Bounded FIFO,
-/// like the result cache; two workers racing on a miss both build —
+/// [`Checkpoint`] per `(program content key, config digest)`, built on
+/// first use and shared across the worker pool behind `Arc`s. Bounded
+/// FIFO, like the result cache; two workers racing on a miss both build —
 /// checkpoints are deterministic, so either insert is correct.
 pub type ForkCache = Store<(u64, u64), Arc<Checkpoint>>;
 
@@ -100,7 +100,10 @@ impl ForkCache {
         prog: &Program,
         config: SimConfig,
     ) -> Result<Arc<Checkpoint>, ServiceError> {
-        let key = (prog.digest(), config.digest());
+        // Keyed per chunk of trials, so the key must be cheap on large
+        // images: the word-at-a-time content key, not the byte-wise
+        // wire digest.
+        let key = (prog.content_key(), config.digest());
         if let Some(hit) = self.get(&key) {
             return Ok(hit);
         }

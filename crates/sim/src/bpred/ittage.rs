@@ -19,7 +19,7 @@ struct ItEntry {
 }
 
 /// The ITTAGE predictor.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Ittage {
     cfg: BpredConfig,
     base: Vec<Addr>,
@@ -27,16 +27,29 @@ pub struct Ittage {
     hist_lens: [usize; 2],
 }
 
+clone_in_place!(Ittage { cfg, base, tables, hist_lens });
+
 impl Ittage {
     /// Build from a [`BpredConfig`].
     #[must_use]
     pub fn new(cfg: BpredConfig) -> Self {
-        Ittage {
-            base: vec![0; 1 << cfg.ittage_table_bits],
-            tables: (0..2).map(|_| vec![ItEntry::default(); 1 << cfg.ittage_table_bits]).collect(),
-            hist_lens: [8, 32],
-            cfg,
+        let mut it = Ittage { cfg, base: Vec::new(), tables: Vec::new(), hist_lens: [8, 32] };
+        it.reset(cfg);
+        it
+    }
+
+    /// Become `Ittage::new(cfg)`, refilling the tables in place.
+    pub fn reset(&mut self, cfg: BpredConfig) {
+        let Ittage { cfg: c, base, tables, hist_lens } = self;
+        *c = cfg;
+        base.clear();
+        base.resize(1 << cfg.ittage_table_bits, 0);
+        tables.resize_with(2, Vec::new);
+        for t in tables {
+            t.clear();
+            t.resize(1 << cfg.ittage_table_bits, ItEntry::default());
         }
+        *hist_lens = [8, 32];
     }
 
     /// Approximate storage in bytes.

@@ -45,7 +45,7 @@ impl BpredStats {
 }
 
 /// The bundled prediction unit with speculative-history management.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct BranchPredictor {
     tage: Tage,
     ittage: Ittage,
@@ -53,6 +53,8 @@ pub struct BranchPredictor {
     ghr: u64,
     stats: BpredStats,
 }
+
+clone_in_place!(BranchPredictor { tage, ittage, ras, ghr, stats });
 
 impl BranchPredictor {
     /// Build the unit from a configuration.
@@ -65,6 +67,16 @@ impl BranchPredictor {
             ghr: 0,
             stats: BpredStats::default(),
         }
+    }
+
+    /// Become `BranchPredictor::new(cfg)`, refilling the tables in place.
+    pub fn reset(&mut self, cfg: BpredConfig) {
+        let BranchPredictor { tage, ittage, ras, ghr, stats } = self;
+        tage.reset(cfg);
+        ittage.reset(cfg);
+        ras.reset(cfg.ras_depth);
+        *ghr = 0;
+        *stats = BpredStats::default();
     }
 
     /// Counters so far.

@@ -6,17 +6,26 @@
 use sempe_isa::Addr;
 
 /// Fixed-depth return-address stack.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct ReturnStack {
     entries: Vec<Addr>,
     depth: usize,
 }
+
+clone_in_place!(ReturnStack { entries, depth });
 
 impl ReturnStack {
     /// A stack holding up to `depth` return addresses.
     #[must_use]
     pub fn new(depth: usize) -> Self {
         ReturnStack { entries: Vec::with_capacity(depth), depth }
+    }
+
+    /// Become `ReturnStack::new(depth)`, keeping the allocation.
+    pub fn reset(&mut self, depth: usize) {
+        self.entries.clear();
+        self.entries.reserve(depth);
+        self.depth = depth;
     }
 
     /// Push a return address (a call retires its fall-through here). The

@@ -27,13 +27,15 @@ struct TageEntry {
 }
 
 /// The TAGE predictor.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Tage {
     cfg: BpredConfig,
     bimodal: Vec<u8>,
     tables: Vec<Vec<TageEntry>>,
     updates: u64,
 }
+
+clone_in_place!(Tage { cfg, bimodal, tables, updates });
 
 /// Number of tagged tables (the length of
 /// [`BpredConfig::tage_hist_lens`]).
@@ -64,14 +66,23 @@ impl Tage {
     /// Build from a [`BpredConfig`].
     #[must_use]
     pub fn new(cfg: BpredConfig) -> Self {
-        Tage {
-            bimodal: vec![1u8; 1 << cfg.bimodal_bits], // weakly not-taken
-            tables: (0..cfg.tage_hist_lens.len())
-                .map(|_| vec![TageEntry::default(); 1 << cfg.tage_table_bits])
-                .collect(),
-            cfg,
-            updates: 0,
+        let mut tage = Tage { cfg, bimodal: Vec::new(), tables: Vec::new(), updates: 0 };
+        tage.reset(cfg);
+        tage
+    }
+
+    /// Become `Tage::new(cfg)`, refilling the tables in place.
+    pub fn reset(&mut self, cfg: BpredConfig) {
+        let Tage { cfg: c, bimodal, tables, updates } = self;
+        *c = cfg;
+        bimodal.clear();
+        bimodal.resize(1 << cfg.bimodal_bits, 1); // weakly not-taken
+        tables.resize_with(cfg.tage_hist_lens.len(), Vec::new);
+        for t in tables {
+            t.clear();
+            t.resize(1 << cfg.tage_table_bits, TageEntry::default());
         }
+        *updates = 0;
     }
 
     /// Approximate storage budget in bytes (for the Table II sizing note).

@@ -39,17 +39,49 @@ impl CacheStats {
     }
 }
 
+/// One line's tag and replacement state, in 16 bytes (a restore copies
+/// every line of every level). `meta` is the access-clock value of the
+/// line's last touch with the dirty bit on top; the clock is bumped
+/// before every use, so a valid line's clock is never 0 and `meta == 0`
+/// means invalid.
 #[derive(Debug, Clone, Copy, Default)]
 struct Line {
     tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// Higher = more recently used.
-    lru: u64,
+    meta: u64,
+}
+
+impl Line {
+    const DIRTY: u64 = 1 << 63;
+
+    fn new(tag: u64, clock: u64, dirty: bool) -> Line {
+        Line { tag, meta: clock | if dirty { Line::DIRTY } else { 0 } }
+    }
+
+    fn valid(self) -> bool {
+        self.meta != 0
+    }
+
+    fn dirty(self) -> bool {
+        self.meta & Line::DIRTY != 0
+    }
+
+    /// Higher = more recently used; 0 for an invalid line.
+    fn lru(self) -> u64 {
+        self.meta & !Line::DIRTY
+    }
+
+    fn holds(self, line_addr: u64) -> bool {
+        self.valid() && self.tag == line_addr
+    }
+
+    /// A hit or a refill of a present line at `clock`.
+    fn touch(&mut self, clock: u64, is_write: bool) {
+        *self = Line::new(self.tag, clock, self.dirty() || is_write);
+    }
 }
 
 /// One set-associative cache level.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SetAssocCache {
     cfg: CacheConfig,
     sets: usize,
@@ -58,18 +90,34 @@ pub struct SetAssocCache {
     stats: CacheStats,
 }
 
+clone_in_place!(SetAssocCache { cfg, sets, lines, lru_clock, stats });
+
 impl SetAssocCache {
     /// Build a cache with the given geometry.
     #[must_use]
     pub fn new(cfg: CacheConfig) -> Self {
-        let sets = cfg.sets();
-        SetAssocCache {
+        let mut cache = SetAssocCache {
             cfg,
-            sets,
-            lines: vec![Line::default(); sets * cfg.ways],
+            sets: 0,
+            lines: Vec::new(),
             lru_clock: 0,
             stats: CacheStats::default(),
-        }
+        };
+        cache.reset(cfg);
+        cache
+    }
+
+    /// Become `SetAssocCache::new(cfg)`: every line invalid, counters
+    /// zero. Refills the line array in place, reallocating only when the
+    /// new geometry needs more lines than it holds.
+    pub fn reset(&mut self, cfg: CacheConfig) {
+        let SetAssocCache { cfg: c, sets, lines, lru_clock, stats } = self;
+        *c = cfg;
+        *sets = cfg.sets();
+        lines.clear();
+        lines.resize(*sets * cfg.ways, Line::default());
+        *lru_clock = 0;
+        *stats = CacheStats::default();
     }
 
     /// Counters so far.
@@ -95,7 +143,7 @@ impl SetAssocCache {
     pub fn probe(&self, addr: Addr) -> bool {
         let la = self.line_addr(addr);
         let set = self.set_index(la);
-        self.lines[self.set_range(set)].iter().any(|l| l.valid && l.tag == la)
+        self.lines[self.set_range(set)].iter().any(|l| l.holds(la))
     }
 
     /// Demand access. Returns `true` on hit. On miss the caller is
@@ -108,11 +156,8 @@ impl SetAssocCache {
         let clock = self.lru_clock;
         let range = self.set_range(set);
         for l in &mut self.lines[range] {
-            if l.valid && l.tag == la {
-                l.lru = clock;
-                if is_write {
-                    l.dirty = true;
-                }
+            if l.holds(la) {
+                l.touch(clock, is_write);
                 return true;
             }
         }
@@ -132,22 +177,16 @@ impl SetAssocCache {
         }
         let range = self.set_range(set);
         // Already present (e.g. racing prefetch): just touch.
-        if let Some(l) = self.lines[range.clone()].iter_mut().find(|l| l.valid && l.tag == la) {
-            l.lru = clock;
-            if is_write {
-                l.dirty = true;
-            }
+        if let Some(l) = self.lines[range.clone()].iter_mut().find(|l| l.holds(la)) {
+            l.touch(clock, is_write);
             return false;
         }
-        let victim = self.lines[range]
-            .iter_mut()
-            .min_by_key(|l| if l.valid { l.lru } else { 0 })
-            .expect("ways >= 1");
-        let evicted_dirty = victim.valid && victim.dirty;
+        let victim = self.lines[range].iter_mut().min_by_key(|l| l.lru()).expect("ways >= 1");
+        let evicted_dirty = victim.dirty();
         if evicted_dirty {
             self.stats.writebacks += 1;
         }
-        *victim = Line { tag: la, valid: true, dirty: is_write, lru: clock };
+        *victim = Line::new(la, clock, is_write);
         evicted_dirty
     }
 }
@@ -155,10 +194,12 @@ impl SetAssocCache {
 /// The L1D stride prefetcher: a small PC-indexed table tracking last
 /// address and stride with 2-bit confidence; on a confirmed stride it
 /// prefetches the next line.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct StridePrefetcher {
     entries: Vec<StrideEntry>,
 }
+
+clone_in_place!(StridePrefetcher { entries });
 
 #[derive(Debug, Clone, Copy, Default)]
 struct StrideEntry {
@@ -173,7 +214,15 @@ impl StridePrefetcher {
     /// A prefetcher with `entries` table slots.
     #[must_use]
     pub fn new(entries: usize) -> Self {
-        StridePrefetcher { entries: vec![StrideEntry::default(); entries] }
+        let mut p = StridePrefetcher { entries: Vec::new() };
+        p.reset(entries);
+        p
+    }
+
+    /// Become `StridePrefetcher::new(entries)`, in place.
+    pub fn reset(&mut self, entries: usize) {
+        self.entries.clear();
+        self.entries.resize(entries, StrideEntry::default());
     }
 
     /// Train on a demand access; returns an address to prefetch when the
@@ -206,12 +255,14 @@ impl StridePrefetcher {
 /// The L2 stream prefetcher: detects two consecutive line misses in the
 /// same direction within a region and then runs a stream `depth` lines
 /// ahead.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct StreamPrefetcher {
     streams: Vec<StreamEntry>,
     line_bytes: u64,
     depth: u64,
 }
+
+clone_in_place!(StreamPrefetcher { streams, line_bytes, depth });
 
 #[derive(Debug, Clone, Copy, Default)]
 struct StreamEntry {
@@ -226,11 +277,23 @@ impl StreamPrefetcher {
     /// A stream prefetcher tracking `streams` concurrent streams.
     #[must_use]
     pub fn new(streams: usize, line_bytes: u64, depth: u64) -> Self {
-        StreamPrefetcher { streams: vec![StreamEntry::default(); streams], line_bytes, depth }
+        let mut p = StreamPrefetcher { streams: Vec::new(), line_bytes, depth };
+        p.reset(streams, line_bytes, depth);
+        p
     }
 
-    /// Train on an L2 demand access; returns lines to prefetch.
-    pub fn train(&mut self, addr: Addr) -> Vec<Addr> {
+    /// Become `StreamPrefetcher::new(streams, line_bytes, depth)`, in
+    /// place.
+    pub fn reset(&mut self, streams: usize, line_bytes: u64, depth: u64) {
+        let StreamPrefetcher { streams: s, line_bytes: l, depth: d } = self;
+        s.clear();
+        s.resize(streams, StreamEntry::default());
+        (*l, *d) = (line_bytes, depth);
+    }
+
+    /// Train on an L2 demand access; returns the lines to prefetch (none
+    /// until a stream is confident), without allocating.
+    pub fn train(&mut self, addr: Addr) -> impl Iterator<Item = Addr> {
         let line = addr / self.line_bytes;
         // Find a stream within ±2 lines.
         let mut found = None;
@@ -255,11 +318,7 @@ impl StreamPrefetcher {
                 s.lru = clock;
                 if s.confident && s.direction != 0 {
                     let dir = s.direction;
-                    (1..=self.depth)
-                        .map(|k| ((line as i64 + dir * k as i64) as u64) * self.line_bytes)
-                        .collect()
-                } else {
-                    Vec::new()
+                    return self.ahead(line, dir, self.depth);
                 }
             }
             None => {
@@ -275,9 +334,15 @@ impl StreamPrefetcher {
                         lru: clock,
                     };
                 }
-                Vec::new()
             }
         }
+        self.ahead(line, 0, 0)
+    }
+
+    /// The `count` lines after `line` in direction `dir`.
+    fn ahead(&self, line: u64, dir: i64, count: u64) -> impl Iterator<Item = Addr> {
+        let line_bytes = self.line_bytes;
+        (1..=count).map(move |k| ((line as i64 + dir * k as i64) as u64) * line_bytes)
     }
 }
 
@@ -306,7 +371,7 @@ pub struct AccessResult {
 }
 
 /// The full hierarchy: IL1 + DL1 sharing a unified L2, plus prefetchers.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct MemHierarchy {
     cfg: MemConfig,
     il1: SetAssocCache,
@@ -316,6 +381,14 @@ pub struct MemHierarchy {
     stream: Option<StreamPrefetcher>,
 }
 
+clone_in_place!(MemHierarchy { cfg, il1, dl1, l2, stride, stream });
+
+/// Stride-prefetcher table slots.
+const STRIDE_ENTRIES: usize = 64;
+/// Concurrent L2 streams, and how many lines a confident one runs ahead.
+const STREAMS: usize = 8;
+const STREAM_DEPTH: u64 = 2;
+
 impl MemHierarchy {
     /// Build the hierarchy from a configuration.
     #[must_use]
@@ -324,11 +397,32 @@ impl MemHierarchy {
             il1: SetAssocCache::new(cfg.il1),
             dl1: SetAssocCache::new(cfg.dl1),
             l2: SetAssocCache::new(cfg.l2),
-            stride: cfg.stride_prefetch.then(|| StridePrefetcher::new(64)),
+            stride: cfg.stride_prefetch.then(|| StridePrefetcher::new(STRIDE_ENTRIES)),
             stream: cfg
                 .stream_prefetch
-                .then(|| StreamPrefetcher::new(8, cfg.l2.line_bytes as u64, 2)),
+                .then(|| StreamPrefetcher::new(STREAMS, cfg.l2.line_bytes as u64, STREAM_DEPTH)),
             cfg,
+        }
+    }
+
+    /// Become `MemHierarchy::new(cfg)`, refilling the cache arrays and
+    /// prefetcher tables in place.
+    pub fn reset(&mut self, cfg: MemConfig) {
+        let MemHierarchy { cfg: c, il1, dl1, l2, stride, stream } = self;
+        *c = cfg;
+        il1.reset(cfg.il1);
+        dl1.reset(cfg.dl1);
+        l2.reset(cfg.l2);
+        match (stride.as_mut(), cfg.stride_prefetch) {
+            (Some(p), true) => p.reset(STRIDE_ENTRIES),
+            (_, on) => *stride = on.then(|| StridePrefetcher::new(STRIDE_ENTRIES)),
+        }
+        let line_bytes = cfg.l2.line_bytes as u64;
+        match (stream.as_mut(), cfg.stream_prefetch) {
+            (Some(p), true) => p.reset(STREAMS, line_bytes, STREAM_DEPTH),
+            (_, on) => {
+                *stream = on.then(|| StreamPrefetcher::new(STREAMS, line_bytes, STREAM_DEPTH))
+            }
         }
     }
 
@@ -514,9 +608,9 @@ mod tests {
     #[test]
     fn stream_prefetcher_follows_sequential_lines() {
         let mut p = StreamPrefetcher::new(4, 64, 2);
-        assert!(p.train(0x1000).is_empty());
-        assert!(p.train(0x1040).is_empty(), "direction observed, not yet confident");
-        let pf = p.train(0x1080);
+        assert_eq!(p.train(0x1000).count(), 0);
+        assert_eq!(p.train(0x1040).count(), 0, "direction observed, not yet confident");
+        let pf: Vec<_> = p.train(0x1080).collect();
         assert_eq!(pf, vec![0x10C0, 0x1100]);
     }
 

@@ -49,6 +49,27 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+/// `Clone` for a struct of tables whose `clone_from` copies field by
+/// field, so every vector inside reuses the destination's allocation
+/// (the derived `Clone` has no `clone_from` of its own; the default one
+/// allocates a whole new copy and frees the old). Both methods destructure
+/// the struct without `..`, so a field added later and left out here is
+/// a compile error, not a field a restore forgets.
+macro_rules! clone_in_place {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl Clone for $ty {
+            fn clone(&self) -> Self {
+                $ty { $($field: self.$field.clone()),+ }
+            }
+
+            fn clone_from(&mut self, source: &Self) {
+                let $ty { $($field),+ } = self;
+                $($field.clone_from(&source.$field);)+
+            }
+        }
+    };
+}
+
 pub mod bpred;
 pub mod cache;
 mod calendar;

@@ -25,12 +25,10 @@ use sempe_core::trace::{CacheLevel, ObservationTrace, TraceEvent};
 use sempe_core::unit::SempeUnit;
 use sempe_core::{Json, SempeFault};
 use sempe_isa::decode::DecodeMode;
-use sempe_isa::insn::Inst;
 use sempe_isa::mem::{MemSnapshot, Memory};
-use sempe_isa::opcode::{Format, Opcode};
-use sempe_isa::program::{layout, DecodedProgram, Program};
+use sempe_isa::program::{layout, DecodedProgram, LatClass, Program, Uop, NO_INST};
 use sempe_isa::reg::{Reg, NUM_ARCH_REGS};
-use sempe_isa::semantics::{self, access_width, branch_taken, eval_op, IntFault};
+use sempe_isa::semantics::{self, branch_taken, eval_op, IntFault};
 use sempe_isa::{Addr, DecodeError, ExecError};
 
 use crate::bpred::{BranchPredictor, RasCheckpoints, RasHandle};
@@ -140,8 +138,8 @@ impl From<SempeFault> for SimError {
 struct FrontendEntry {
     seq: u64,
     pc: Addr,
-    inst: Inst,
-    len: u8,
+    /// Index of its [`Uop`] record in the decoded program.
+    uop: u32,
     ready_cycle: u64,
     pred_taken: bool,
     pred_target: Addr,
@@ -193,6 +191,8 @@ enum RenameGate {
 #[derive(Debug, Clone, Copy)]
 struct IqEntry {
     seq: u64,
+    /// Index of the µop's record in the decoded program.
+    uop: u32,
     rs1: Option<PhysReg>,
     rs2: Option<PhysReg>,
     old_dest: Option<PhysReg>,
@@ -206,6 +206,7 @@ struct IqEntry {
 impl IqEntry {
     const EMPTY: IqEntry = IqEntry {
         seq: 0,
+        uop: 0,
         rs1: None,
         rs2: None,
         old_dest: None,
@@ -328,7 +329,7 @@ fn elapsed_ns(since: std::time::Instant) -> u64 {
 /// [`Checkpoint`] holds one copy, and a restore copies it back whole.
 /// Everything else in a [`Simulator`] is in flight — empty at every
 /// quiesced point — and [`Simulator::reset_transient`] resets it.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct MachineState {
     config: SimConfig,
     /// Shared so a [`Checkpoint`] (and every simulator forked from it)
@@ -340,6 +341,9 @@ struct MachineState {
 
     // Front end.
     fetch_pc: Addr,
+    /// Index of the instruction at `fetch_pc`, or [`NO_INST`] when no
+    /// instruction starts there (fetch then blocks as `BadPc`).
+    fetch_index: u32,
     fetch_stall_until: u64,
     fetch_block: FetchBlock,
     last_fetch_line: Option<u64>,
@@ -385,21 +389,59 @@ struct MachineState {
     last_commit_cycle: u64,
 }
 
+clone_in_place!(MachineState {
+    config,
+    prog,
+    cycle,
+    seq_counter,
+    halted,
+    fetch_pc,
+    fetch_index,
+    fetch_stall_until,
+    fetch_block,
+    last_fetch_line,
+    bp,
+    rename,
+    rename_stall_until,
+    int_div_busy_until,
+    fp_div_busy_until,
+    hier,
+    arch_regs,
+    unit,
+    tier_detailed,
+    roi_open_cycle,
+    roi_spans,
+    trace,
+    stats,
+    last_commit_cycle,
+});
+
+/// The front end that decodes for `config`'s security mode.
+fn decode_mode(config: &SimConfig) -> DecodeMode {
+    match config.mode {
+        SecurityMode::Baseline => DecodeMode::Legacy,
+        SecurityMode::Sempe => DecodeMode::Sempe,
+    }
+}
+
+/// The architectural registers every program starts with.
+fn initial_regs() -> [u64; NUM_ARCH_REGS] {
+    let mut arch_regs = [0u64; NUM_ARCH_REGS];
+    arch_regs[Reg::SP.index()] = layout::STACK_TOP;
+    arch_regs
+}
+
 impl MachineState {
     /// The machine `prog` starts as under `config`, and a fresh memory
     /// with its code and data loaded.
     fn new(prog: &Program, config: SimConfig) -> Result<(Self, Memory), SimError> {
-        let decode_mode = match config.mode {
-            SecurityMode::Baseline => DecodeMode::Legacy,
-            SecurityMode::Sempe => DecodeMode::Sempe,
-        };
-        let decoded = prog.decoded(decode_mode)?;
+        let decoded = prog.decoded(decode_mode(&config))?;
         let mut mem = Memory::new();
         prog.load_into(&mut mem);
-        let mut arch_regs = [0u64; NUM_ARCH_REGS];
-        arch_regs[Reg::SP.index()] = layout::STACK_TOP;
+        let arch_regs = initial_regs();
         let state = MachineState {
             fetch_pc: decoded.entry(),
+            fetch_index: decoded.index_of(decoded.entry()),
             prog: Arc::new(decoded),
             cycle: 0,
             seq_counter: 0,
@@ -428,6 +470,71 @@ impl MachineState {
             config,
         };
         Ok((state, mem))
+    }
+
+    /// Become `MachineState::new(prog, config)` in place, with `mem`
+    /// reset and loaded: the decode is kept when `prog`'s code is the
+    /// one already decoded, and the predictor tables, caches and
+    /// register files are refilled in their allocations. On a decode
+    /// error nothing has changed.
+    fn rebuild(
+        &mut self,
+        prog: &Program,
+        config: SimConfig,
+        mem: &mut Memory,
+    ) -> Result<(), SimError> {
+        let mode = decode_mode(&config);
+        if !self.prog.is_decode_of(prog, mode) {
+            self.prog = Arc::new(prog.decoded(mode)?);
+        }
+        mem.reset();
+        prog.load_into(mem);
+        let MachineState {
+            config: c,
+            prog: decoded,
+            cycle,
+            seq_counter,
+            halted,
+            fetch_pc,
+            fetch_index,
+            fetch_stall_until,
+            fetch_block,
+            last_fetch_line,
+            bp,
+            rename,
+            rename_stall_until,
+            int_div_busy_until,
+            fp_div_busy_until,
+            hier,
+            arch_regs,
+            unit,
+            tier_detailed,
+            roi_open_cycle,
+            roi_spans,
+            trace,
+            stats,
+            last_commit_cycle,
+        } = self;
+        *c = config;
+        (*cycle, *seq_counter, *halted) = (0, 0, false);
+        *fetch_pc = decoded.entry();
+        *fetch_index = decoded.index_of(decoded.entry());
+        *fetch_stall_until = 0;
+        *fetch_block = FetchBlock::None;
+        *last_fetch_line = None;
+        bp.reset(config.bpred);
+        *arch_regs = initial_regs();
+        rename.reset(config.core.int_phys_regs, config.core.fp_phys_regs, arch_regs);
+        (*rename_stall_until, *int_div_busy_until, *fp_div_busy_until) = (0, 0, 0);
+        hier.reset(config.mem);
+        *unit = SempeUnit::new(config.sempe);
+        *tier_detailed = false;
+        *roi_open_cycle = None;
+        roi_spans.clear();
+        trace.clear();
+        *stats = SimStats::default();
+        *last_commit_cycle = 0;
+        Ok(())
     }
 }
 
@@ -501,6 +608,8 @@ pub struct Simulator {
     skips: u64,
     /// Reusable scratch buffer: the per-cycle stages must not allocate.
     due_scratch: Vec<Event>,
+    /// Execution latency of each [`LatClass`] under `state.config`.
+    lat_table: [u64; LatClass::COUNT],
 }
 
 impl Simulator {
@@ -543,6 +652,7 @@ impl Simulator {
             skipped_cycles: 0,
             skips: 0,
             due_scratch: Vec::new(),
+            lat_table: [0; LatClass::COUNT],
         };
         sim.reset_transient();
         sim
@@ -555,9 +665,11 @@ impl Simulator {
     /// branch in the ROB or the frontend queue at most), the stage
     /// scratch buffer and the skip counters. Nothing in flight survives a
     /// rebuild or a restore, so only spare capacity ever carries over.
+    /// The latency table is rebuilt from the configuration.
     fn reset_transient(&mut self) {
         let config = &self.state.config;
         let core = config.core;
+        self.lat_table = lat_table(&config.lat);
         self.frontend.clear();
         self.rob.reset(core.rob_entries);
         self.iq.clear();
@@ -587,12 +699,15 @@ impl Simulator {
     /// configuration, recycling the previous run's heap allocations.
     ///
     /// Semantically identical to `*self = Simulator::new(prog, config)?`:
-    /// the `MachineState` and memory are built fresh and the in-flight
-    /// structures are reset, so only their spare capacity carries over,
-    /// never state. A long-lived worker (the evaluation service keeps one
-    /// simulator arena per worker thread) skips re-growing the ROB, wakeup
-    /// lists, completion calendar, branch checkpoint arrays and stage
-    /// scratch buffers on every job. The host ledger starts afresh.
+    /// the `MachineState` and memory are reset to what `new` builds and
+    /// the in-flight structures are emptied, so only allocations carry
+    /// over, never state. A long-lived worker (the evaluation service
+    /// keeps one simulator arena per worker thread) keeps the decode when
+    /// the code is unchanged (same bytes, base, entry and decode mode),
+    /// refills the predictor tables, cache arrays, register files and
+    /// memory pages in place, and skips re-growing the ROB, wakeup lists,
+    /// completion calendar, branch checkpoint arrays and stage scratch
+    /// buffers. The host ledger starts afresh.
     ///
     /// # Errors
     ///
@@ -600,9 +715,7 @@ impl Simulator {
     /// configured front end; `self` is left untouched in that case.
     pub fn rebuild(&mut self, prog: &Program, config: SimConfig) -> Result<(), SimError> {
         let build_start = std::time::Instant::now();
-        let (state, mem) = MachineState::new(prog, config)?;
-        self.state = state;
-        self.mem = mem;
+        self.state.rebuild(prog, config, &mut self.mem)?;
         self.reset_transient();
         self.host = HostProfile { decode_ns: elapsed_ns(build_start), ..HostProfile::default() };
         Ok(())
@@ -1014,13 +1127,15 @@ impl Simulator {
                 self.state.config.core.sq_entries,
             ),
             pc: self.state.fetch_pc,
+            index: self.state.fetch_index,
             committed: self.state.stats.committed,
             executed: 0,
         };
         let stop = ff.run(self.state.config.roi, budget, deadline);
-        let (pc, committed, executed, warm_ns) =
-            (ff.pc, ff.committed, ff.executed, ff.warm.warm_ns());
+        let (pc, index, committed, executed, warm_ns) =
+            (ff.pc, ff.index, ff.committed, ff.executed, ff.warm.warm_ns());
         self.state.fetch_pc = pc;
+        self.state.fetch_index = index;
         self.state.stats.committed = committed;
         self.state.stats.ff_committed += executed;
         if executed > 0 {
@@ -1108,7 +1223,7 @@ impl Simulator {
         if fe.ready_cycle > self.state.cycle {
             return Wake::At(fe.ready_cycle);
         }
-        match self.rename_gate(&fe.inst) {
+        match self.rename_gate(self.state.prog.uop(fe.uop)) {
             // A pending nesting-overflow fault must be raised by a real
             // tick at this very cycle, exactly as classic stepping does.
             RenameGate::Proceed | RenameGate::NestingFault => Wake::Now,
@@ -1188,11 +1303,13 @@ impl Simulator {
             if self.frontend.len() >= self.state.config.core.frontend_queue {
                 break;
             }
-            let Some((inst, len)) = self.state.prog.try_fetch(self.state.fetch_pc) else {
+            let index = self.state.fetch_index;
+            if index == NO_INST {
                 // Wrong-path garbage; wait for the squash that must come.
                 self.state.fetch_block = FetchBlock::BadPc;
                 break;
-            };
+            }
+            let u = *self.state.prog.uop(index);
             // Instruction-cache timing, one access per line transition.
             let line = self.state.fetch_pc / FETCH_LINE_BYTES;
             if self.state.last_fetch_line != Some(line) {
@@ -1206,7 +1323,7 @@ impl Simulator {
             }
 
             let pc = self.state.fetch_pc;
-            let next_seq = pc + len as Addr;
+            let next_seq = pc + Addr::from(u.len);
             let seq = self.state.seq_counter;
             self.state.seq_counter += 1;
             self.state.stats.fetched += 1;
@@ -1214,8 +1331,7 @@ impl Simulator {
             let mut fe = FrontendEntry {
                 seq,
                 pc,
-                inst,
-                len: len as u8,
+                uop: index,
                 ready_cycle: self.state.cycle + 2, // decode pipeline depth
                 pred_taken: false,
                 pred_target: 0,
@@ -1223,77 +1339,74 @@ impl Simulator {
                 ras: None,
             };
 
-            let mut next_pc = next_seq;
+            // Straight-line and direct-branch successors come from the
+            // record; only a predicted indirect target is looked up.
+            let (mut next_pc, mut next_index) = (next_seq, u.next_index);
             let mut end_group = false;
-            match inst.op {
-                op if op.is_cond_branch() => {
-                    if inst.is_sjmp() {
-                        // Secure branch: not-taken path first, no predictor.
-                        fe.pred_taken = false;
-                        fe.pred_target = next_seq;
+            if u.has(Uop::SJMP) {
+                // Secure branch: not-taken path first, no predictor.
+                fe.pred_target = next_seq;
+            } else if u.has(Uop::COND_BRANCH) {
+                let (taken, ghr_before) = self.state.bp.predict_cond(pc);
+                fe.pred_taken = taken;
+                fe.ghr_before = ghr_before;
+                fe.pred_target = if taken { u.target } else { next_seq };
+                fe.ras = Some(self.ras_checkpoints.take(self.state.bp.ras()));
+                if taken {
+                    (next_pc, next_index) = (u.target, u.target_index);
+                    end_group = true;
+                }
+            } else if u.has(Uop::JAL) {
+                if u.inst.rd == Reg::RA {
+                    self.state.bp.on_call(next_seq);
+                }
+                (next_pc, next_index) = (u.target, u.target_index);
+                fe.pred_target = next_pc;
+                end_group = true;
+            } else if u.has(Uop::JALR) {
+                let predicted = if u.inst.rd == Reg::X0 && u.inst.rs1 == Reg::RA {
+                    self.state.bp.predict_return().unwrap_or(next_seq)
+                } else {
+                    let (t, _) = self.state.bp.predict_indirect(pc);
+                    if t == 0 {
+                        next_seq
                     } else {
-                        let (taken, ghr_before) = self.state.bp.predict_cond(pc);
-                        fe.pred_taken = taken;
-                        fe.ghr_before = ghr_before;
-                        fe.pred_target = if taken { inst.branch_target(pc, len) } else { next_seq };
-                        fe.ras = Some(self.ras_checkpoints.take(self.state.bp.ras()));
-                        if taken {
-                            next_pc = fe.pred_target;
-                            end_group = true;
-                        }
+                        t
                     }
-                }
-                Opcode::Jal => {
-                    if inst.rd == Reg::RA {
-                        self.state.bp.on_call(next_seq);
-                    }
-                    next_pc = inst.branch_target(pc, len);
-                    fe.pred_target = next_pc;
-                    end_group = true;
-                }
-                Opcode::Jalr => {
-                    let predicted = if inst.rd == Reg::X0 && inst.rs1 == Reg::RA {
-                        self.state.bp.predict_return().unwrap_or(next_seq)
-                    } else {
-                        let (t, _) = self.state.bp.predict_indirect(pc);
-                        if t == 0 {
-                            next_seq
-                        } else {
-                            t
-                        }
-                    };
-                    fe.pred_target = predicted;
-                    fe.ras = Some(self.ras_checkpoints.take(self.state.bp.ras()));
-                    next_pc = predicted;
-                    end_group = true;
-                }
-                Opcode::EosJmp => {
-                    self.state.fetch_block = FetchBlock::Eos;
-                    end_group = true;
-                }
-                Opcode::Halt => {
-                    self.state.fetch_block = FetchBlock::Halt;
-                    end_group = true;
-                }
-                _ => {}
+                };
+                fe.pred_target = predicted;
+                fe.ras = Some(self.ras_checkpoints.take(self.state.bp.ras()));
+                (next_pc, next_index) = (predicted, self.state.prog.index_of(predicted));
+                end_group = true;
+            } else if u.has(Uop::EOS) {
+                self.state.fetch_block = FetchBlock::Eos;
+                end_group = true;
+            } else if u.has(Uop::HALT) {
+                self.state.fetch_block = FetchBlock::Halt;
+                end_group = true;
             }
 
             self.frontend.push_back(fe);
             self.state.fetch_pc = next_pc;
+            self.state.fetch_index = next_index;
             if end_group {
                 break;
             }
         }
     }
 
-    // ----------------------------------------------------------- rename
-
-    fn requires_iq(inst: &Inst) -> bool {
-        !matches!(inst.op, Opcode::Nop | Opcode::Halt | Opcode::EosJmp)
+    /// Restart fetch at `pc` (a squash or eosJMP redirect, or the end of
+    /// a fast-forward segment).
+    fn redirect_fetch(&mut self, pc: Addr) {
+        self.state.fetch_pc = pc;
+        self.state.fetch_index = self.state.prog.index_of(pc);
+        self.state.fetch_block = FetchBlock::None;
     }
 
-    fn iq_class(inst: &Inst) -> IqClass {
-        if inst.op.is_fp() {
+    // ----------------------------------------------------------- rename
+
+    fn iq_class(u: &Uop) -> IqClass {
+        if u.has(Uop::FP) {
             IqClass::Fp
         } else {
             IqClass::Int
@@ -1305,12 +1418,12 @@ impl Simulator {
     /// by `rename_stage` (which acts on it) and `rename_wake` (which
     /// reports quiescence from it) so the two can never disagree.
     #[inline]
-    fn rename_gate(&self, inst: &Inst) -> RenameGate {
+    fn rename_gate(&self, u: &Uop) -> RenameGate {
         if self.rob.is_full() {
             return RenameGate::Blocked;
         }
-        if Self::requires_iq(inst) {
-            let (occupancy, cap) = match Self::iq_class(inst) {
+        if u.has(Uop::NEEDS_IQ) {
+            let (occupancy, cap) = match Self::iq_class(u) {
                 IqClass::Int => (self.iq_count_int, self.state.config.core.int_iq_entries),
                 IqClass::Fp => (self.iq_count_fp, self.state.config.core.fp_iq_entries),
             };
@@ -1318,13 +1431,13 @@ impl Simulator {
                 return RenameGate::Blocked;
             }
         }
-        if inst.op.is_load() && !self.lsq.can_alloc_load() {
+        if u.has(Uop::LOAD) && !self.lsq.can_alloc_load() {
             return RenameGate::Blocked;
         }
-        if inst.op.is_store() && !self.lsq.can_alloc_store() {
+        if u.has(Uop::STORE) && !self.lsq.can_alloc_store() {
             return RenameGate::Blocked;
         }
-        let is_sjmp_active = inst.is_sjmp() && self.state.config.mode == SecurityMode::Sempe;
+        let is_sjmp_active = u.has(Uop::SJMP) && self.state.config.mode == SecurityMode::Sempe;
         if is_sjmp_active && !self.state.unit.can_issue_sjmp() {
             // Either a transient stall (the previous sJMP has not
             // committed its jbTable entry yet, or a wrong path will be
@@ -1338,7 +1451,7 @@ impl Simulator {
             }
             return RenameGate::Blocked;
         }
-        if let Some(rd) = inst.dest() {
+        if let Some(rd) = u.dest {
             let free = if rd.is_fp() {
                 self.state.rename.free_fp_count()
             } else {
@@ -1361,8 +1474,8 @@ impl Simulator {
             if fe.ready_cycle > self.state.cycle {
                 break;
             }
-            let inst = fe.inst;
-            match self.rename_gate(&inst) {
+            let u = *self.state.prog.uop(fe.uop);
+            match self.rename_gate(&u) {
                 RenameGate::Blocked => break,
                 RenameGate::NestingFault => {
                     return Err(SimError::Sempe(SempeFault::NestingOverflow {
@@ -1371,33 +1484,31 @@ impl Simulator {
                 }
                 RenameGate::Proceed => {}
             }
-            let is_sjmp_active = inst.is_sjmp() && self.state.config.mode == SecurityMode::Sempe;
+            let is_sjmp_active = u.has(Uop::SJMP) && self.state.config.mode == SecurityMode::Sempe;
 
             let fe = self.frontend.pop_front().expect("peeked above");
-            let mut entry = RobEntry::new(fe.seq, fe.pc, inst, fe.len);
+            let mut entry = RobEntry::new(fe.seq, fe.pc, fe.uop);
             entry.pred_taken = fe.pred_taken;
             entry.pred_target = fe.pred_target;
             entry.ghr_before = fe.ghr_before;
             entry.ras = fe.ras;
 
             // Sources resolve against the pre-rename RAT.
-            let srcs = inst.sources();
-            let rs1 = srcs[0].map(|r| self.state.rename.map(r));
-            let rs2 = srcs[1].map(|r| self.state.rename.map(r));
-            let old_dest = if inst.reads_dest() && !inst.rd.is_zero() {
-                Some(self.state.rename.map(inst.rd))
-            } else {
-                None
+            let rs1 = u.srcs[0].map(|r| self.state.rename.map(r));
+            let rs2 = u.srcs[1].map(|r| self.state.rename.map(r));
+            let old_dest = match u.dest {
+                Some(rd) if u.has(Uop::READS_DEST) => Some(self.state.rename.map(rd)),
+                _ => None,
             };
-            if let Some(rd) = inst.dest() {
+            if let Some(rd) = u.dest {
                 let (fresh, old) = self.state.rename.rename_dest(rd).expect("gated above");
                 entry.phys_dest = Some(fresh);
                 entry.old_phys = Some(old);
             }
-            if inst.op.is_store() {
+            if u.has(Uop::STORE) {
                 entry.store_id = self.lsq.alloc_store(fe.seq);
             }
-            if inst.op.is_load() {
+            if u.has(Uop::LOAD) {
                 self.lsq.alloc_load();
             }
             if is_sjmp_active {
@@ -1405,7 +1516,7 @@ impl Simulator {
                 entry.is_sjmp = true;
             }
 
-            let needs_iq = Self::requires_iq(&inst);
+            let needs_iq = u.has(Uop::NEEDS_IQ);
             if !needs_iq {
                 entry.done = true;
             }
@@ -1413,11 +1524,11 @@ impl Simulator {
             let slot = self.rob.push(entry).expect("gated above");
             // Squash-recovery checkpoint for everything that can
             // mispredict.
-            if (inst.op.is_cond_branch() && !is_sjmp_active) || inst.op == Opcode::Jalr {
+            if (u.has(Uop::COND_BRANCH) && !is_sjmp_active) || u.has(Uop::JALR) {
                 self.rat_checkpoints[slot] = self.state.rename.checkpoint();
             }
             if needs_iq {
-                self.iq_insert(slot, seq, Self::iq_class(&inst), [rs1, rs2, old_dest]);
+                self.iq_insert(slot, seq, fe.uop, Self::iq_class(&u), [rs1, rs2, old_dest]);
             }
             self.state.stats.renamed += 1;
 
@@ -1435,19 +1546,6 @@ impl Simulator {
 
     // ------------------------------------------------------------ issue
 
-    fn op_latency(l: &LatencyConfig, op: Opcode) -> u64 {
-        match op {
-            Opcode::Mul => l.mul,
-            Opcode::Div | Opcode::Rem | Opcode::Divu | Opcode::Remu => l.div,
-            Opcode::Fadd | Opcode::Fsub => l.fp_add,
-            Opcode::Fmul => l.fp_mul,
-            Opcode::Fdiv => l.fp_div,
-            op if op.is_cond_branch() => l.branch,
-            Opcode::Jal | Opcode::Jalr => l.branch,
-            _ => l.alu,
-        }
-    }
-
     /// Reference readiness check; the wakeup machinery must agree with it
     /// (asserted in debug builds at selection time).
     fn entry_ready(&self, e: &IqEntry) -> bool {
@@ -1457,16 +1555,27 @@ impl Simulator {
     /// Insert a renamed µop into the issue queue at its ROB slot,
     /// registering wakeup records for every source register that is not
     /// yet ready. `srcs` are `rs1`, `rs2` and the old destination.
-    fn iq_insert(&mut self, slot: RobSlot, seq: u64, class: IqClass, srcs: [Option<PhysReg>; 3]) {
+    fn iq_insert(
+        &mut self,
+        slot: RobSlot,
+        seq: u64,
+        uop: u32,
+        class: IqClass,
+        srcs: [Option<PhysReg>; 3],
+    ) {
         let mut pending = 0u8;
-        for p in srcs.into_iter().flatten() {
-            if !self.state.rename.is_ready(p) {
-                pending += 1;
-                self.reg_waiters[p as usize].push((slot as u32, seq));
+        // A plain loop: on this path an iterator chain over the array
+        // (`into_iter().flatten()`) measured slower than the checks.
+        for &src in &srcs {
+            if let Some(p) = src {
+                if !self.state.rename.is_ready(p) {
+                    pending += 1;
+                    self.reg_waiters[p as usize].push((slot as u32, seq));
+                }
             }
         }
         let [rs1, rs2, old_dest] = srcs;
-        self.iq[slot] = IqEntry { seq, rs1, rs2, old_dest, pending, class, active: true };
+        self.iq[slot] = IqEntry { seq, uop, rs1, rs2, old_dest, pending, class, active: true };
         match class {
             IqClass::Int => self.iq_count_int += 1,
             IqClass::Fp => self.iq_count_fp += 1,
@@ -1551,8 +1660,8 @@ impl Simulator {
     fn try_issue(&mut self, slot: RobSlot, issued_loads: &mut usize) -> bool {
         let iq = self.iq[slot];
         debug_assert!(iq.active && self.entry_ready(&iq), "ready mask out of sync");
-        let op = self.rob.get(slot).expect("queued µop is live").inst.op;
-        if op.is_load() {
+        let u = *self.state.prog.uop(iq.uop);
+        if u.has(Uop::LOAD) {
             if *issued_loads >= self.state.config.core.load_issue_width {
                 return false;
             }
@@ -1560,14 +1669,14 @@ impl Simulator {
         }
         // Dividers are single, non-pipelined units (structural
         // hazard): one op occupies the unit for its full latency.
-        match op {
-            Opcode::Div | Opcode::Rem | Opcode::Divu | Opcode::Remu => {
+        match u.lat {
+            LatClass::Div => {
                 if self.state.cycle < self.state.int_div_busy_until {
                     return false;
                 }
                 self.state.int_div_busy_until = self.state.cycle + self.state.config.lat.div;
             }
-            Opcode::Fdiv => {
+            LatClass::FpDiv => {
                 if self.state.cycle < self.state.fp_div_busy_until {
                     return false;
                 }
@@ -1575,7 +1684,7 @@ impl Simulator {
             }
             _ => {}
         }
-        self.execute_uop(slot, &iq);
+        self.execute_uop(slot, &iq, &u);
         self.iq_release(slot);
         self.state.stats.issued += 1;
         true
@@ -1594,104 +1703,92 @@ impl Simulator {
 
     /// Begin execution of one µop: compute functionally, record the
     /// completion's payload in its ROB entry, and schedule it.
-    fn execute_uop(&mut self, slot: RobSlot, iq: &IqEntry) {
+    fn execute_uop(&mut self, slot: RobSlot, iq: &IqEntry, u: &Uop) {
         let read = |p: Option<PhysReg>| p.map_or(0, |p| self.state.rename.value(p));
         let v1 = read(iq.rs1);
         let v2 = read(iq.rs2);
         let vold = read(iq.old_dest);
         let seq = iq.seq;
         let agu = self.state.config.lat.agu;
+        let lat = self.lat_table[u.lat as usize];
         let Some(e) = self.rob.get_checked(slot, seq) else { return };
-        let inst = e.inst;
-        let len = e.len as usize;
-        let next_pc = e.next_pc();
-        let lat = Self::op_latency(&self.state.config.lat, inst.op);
+        let inst = &u.inst;
+        let next_pc = e.pc + Addr::from(u.len);
 
-        let latency = match inst.op {
-            op if op.is_load() => {
-                e.mem_addr = v1.wrapping_add(inst.imm as u64);
-                None
-            }
-            op if op.is_store() => {
-                e.mem_addr = v1.wrapping_add(inst.imm as u64);
-                e.result = v2;
-                e.wb = Writeback::Store;
-                Some(agu)
-            }
-            op if op.is_cond_branch() => {
-                let taken = branch_taken(op, v1, v2);
-                let target = inst.branch_target(e.pc, len);
-                e.actual_taken = taken;
-                // For an sJMP the jbTable consumes the *taken-path* entry
-                // address whatever the outcome.
-                e.actual_target = if e.is_sjmp || taken { target } else { next_pc };
-                e.mispredicted = !e.is_sjmp && taken != e.pred_taken;
-                e.wb = Writeback::Branch;
-                Some(lat)
-            }
-            Opcode::Jal => {
-                e.actual_taken = true;
-                e.actual_target = inst.branch_target(e.pc, len);
-                e.mispredicted = false;
-                e.result = next_pc;
-                e.wb = Writeback::Branch;
-                Some(lat)
-            }
-            Opcode::Jalr => {
-                let target = v1.wrapping_add(inst.imm as u64);
-                e.actual_taken = true;
-                e.actual_target = target;
-                e.mispredicted = target != e.pred_target;
-                e.result = next_pc;
-                e.wb = Writeback::Branch;
-                Some(lat)
-            }
-            _ => {
-                // Computational op.
-                let b = match inst.op.format() {
-                    Format::R3 => v2,
-                    _ => inst.imm as u64,
-                };
-                match eval_op(&inst, v1, b, vold) {
-                    Ok(value) => {
-                        e.result = value;
-                        e.wb = if e.phys_dest.is_some() { Writeback::Reg } else { Writeback::None };
-                    }
-                    Err(IntFault::DivideByZero) => {
-                        e.div_fault = true;
-                        e.wb = Writeback::None;
-                    }
+        let latency = if u.has(Uop::LOAD) {
+            e.mem_addr = v1.wrapping_add(inst.imm as u64);
+            None
+        } else if u.has(Uop::STORE) {
+            e.mem_addr = v1.wrapping_add(inst.imm as u64);
+            e.result = v2;
+            e.wb = Writeback::Store;
+            Some(agu)
+        } else if u.has(Uop::COND_BRANCH) {
+            let taken = branch_taken(inst.op, v1, v2);
+            e.actual_taken = taken;
+            // For an sJMP the jbTable consumes the *taken-path* entry
+            // address whatever the outcome.
+            e.actual_target = if e.is_sjmp || taken { u.target } else { next_pc };
+            e.mispredicted = !e.is_sjmp && taken != e.pred_taken;
+            e.wb = Writeback::Branch;
+            Some(lat)
+        } else if u.has(Uop::JAL) {
+            e.actual_taken = true;
+            e.actual_target = u.target;
+            e.mispredicted = false;
+            e.result = next_pc;
+            e.wb = Writeback::Branch;
+            Some(lat)
+        } else if u.has(Uop::JALR) {
+            let target = v1.wrapping_add(inst.imm as u64);
+            e.actual_taken = true;
+            e.actual_target = target;
+            e.mispredicted = target != e.pred_target;
+            e.result = next_pc;
+            e.wb = Writeback::Branch;
+            Some(lat)
+        } else {
+            // Computational op.
+            let b = if u.has(Uop::SRC2_REG) { v2 } else { inst.imm as u64 };
+            match eval_op(inst, v1, b, vold) {
+                Ok(value) => {
+                    e.result = value;
+                    e.wb = if e.phys_dest.is_some() { Writeback::Reg } else { Writeback::None };
                 }
-                Some(lat)
+                Err(IntFault::DivideByZero) => {
+                    e.div_fault = true;
+                    e.wb = Writeback::None;
+                }
             }
+            Some(lat)
         };
         match latency {
             Some(lat) => self.schedule(seq, slot, self.state.cycle + lat),
-            None => self.start_load(seq, slot, agu),
+            None => self.start_load(seq, slot, u.width, agu),
         }
     }
 
-    /// Run the LSQ check for a load whose address is in its ROB entry:
-    /// schedule its completion, or park it on the store that blocks it.
-    fn start_load(&mut self, seq: u64, slot: RobSlot, agu: u64) {
+    /// Run the LSQ check for a `width`-byte load whose address is in its
+    /// ROB entry: schedule its completion, or park it on the store that
+    /// blocks it.
+    fn start_load(&mut self, seq: u64, slot: RobSlot, width: u8, agu: u64) {
         let e = self.rob.get(slot).expect("issuing load is live");
-        let width = access_width(e.inst.op);
         match self.lsq.check_load(seq, e.mem_addr, width) {
             LoadCheck::Wait(blocker) => {
                 self.state.stats.load_replays += 1;
                 self.lsq.park(blocker);
                 self.replay.push(ParkedLoad { seq, slot, blocker });
             }
-            verdict => self.serve_load(seq, slot, verdict, agu),
+            verdict => self.serve_load(seq, slot, width, verdict, agu),
         }
     }
 
     /// Complete a load whose store-queue verdict is `Forward` or
     /// `Proceed`: take the forwarded value or read memory through the
     /// DL1, and schedule the writeback.
-    fn serve_load(&mut self, seq: u64, slot: RobSlot, verdict: LoadCheck, agu: u64) {
+    fn serve_load(&mut self, seq: u64, slot: RobSlot, width: u8, verdict: LoadCheck, agu: u64) {
         let e = self.rob.get(slot).expect("served load is live");
-        let (pc, addr, width) = (e.pc, e.mem_addr, access_width(e.inst.op));
+        let (pc, addr) = (e.pc, e.mem_addr);
         let (value, latency) = match verdict {
             LoadCheck::Forward(value) => {
                 self.state.stats.load_forwards += 1;
@@ -1733,7 +1830,8 @@ impl Simulator {
             }
             self.lsq.unpark(p.blocker);
             let e = self.rob.get(p.slot).expect("parked load is live");
-            match self.lsq.check_load(p.seq, e.mem_addr, access_width(e.inst.op)) {
+            let width = self.state.prog.uop(e.uop).width;
+            match self.lsq.check_load(p.seq, e.mem_addr, width) {
                 LoadCheck::Wait(blocker) => {
                     self.lsq.park(blocker);
                     self.replay[i].blocker = blocker;
@@ -1742,7 +1840,7 @@ impl Simulator {
                 verdict => {
                     self.replay.remove(i);
                     // Replays already paid the AGU.
-                    self.serve_load(p.seq, p.slot, verdict, 0);
+                    self.serve_load(p.seq, p.slot, width, verdict, 0);
                 }
             }
         }
@@ -1769,7 +1867,8 @@ impl Simulator {
                     self.lsq.release_load();
                 }
                 Writeback::Store => {
-                    let (id, addr, width) = (e.store_id, e.mem_addr, access_width(e.inst.op));
+                    let width = self.state.prog.uop(e.uop).width;
+                    let (id, addr) = (e.store_id, e.mem_addr);
                     self.lsq.resolve_store(id, addr, result, width);
                 }
                 Writeback::Branch => {
@@ -1799,8 +1898,9 @@ impl Simulator {
         self.state.stats.squashes += 1;
         let e = self.rob.get(slot).expect("squash source exists");
         debug_assert_eq!(e.seq, seq);
-        let (redirect_to, ghr_before, ras, is_cond, actual_taken) =
-            (e.actual_target, e.ghr_before, e.ras, e.inst.op.is_cond_branch(), e.actual_taken);
+        let is_cond = self.state.prog.uop(e.uop).has(Uop::COND_BRANCH);
+        let (redirect_to, ghr_before, ras, actual_taken) =
+            (e.actual_target, e.ghr_before, e.ras, e.actual_taken);
         // The squashed snapshots are the youngest in the ring: release
         // from the oldest of them.
         let mut oldest_dead_ras = self.frontend.iter().find_map(|fe| fe.ras);
@@ -1811,7 +1911,7 @@ impl Simulator {
             if let Some(p) = dead.phys_dest {
                 self.state.rename.free(p);
             }
-            if dead.inst.op.is_load() && !dead.done {
+            if !dead.done && self.state.prog.uop(dead.uop).has(Uop::LOAD) {
                 // Its LQ slot is still held iff the load hasn't completed.
                 // Completed loads released at writeback; parked loads or
                 // in-flight cache accesses still hold a slot.
@@ -1854,8 +1954,7 @@ impl Simulator {
             self.rename_blocked_on = None;
         }
         // Fetch restart.
-        self.state.fetch_pc = redirect_to;
-        self.state.fetch_block = FetchBlock::None;
+        self.redirect_fetch(redirect_to);
         self.state.last_fetch_line = None;
         self.state.fetch_stall_until = self.state.cycle + self.state.config.core.mispredict_penalty;
         self.trace_event(TraceEvent::Redirect { target: redirect_to });
@@ -1884,6 +1983,7 @@ impl Simulator {
             }
 
             let entry = self.rob.pop_head().expect("head exists");
+            let u = *self.state.prog.uop(entry.uop);
             if let Some(h) = entry.ras {
                 self.ras_checkpoints.release_oldest(h);
             }
@@ -1913,7 +2013,7 @@ impl Simulator {
 
             // Register state.
             if let Some(p) = entry.phys_dest {
-                let rd = entry.inst.rd;
+                let rd = u.inst.rd;
                 debug_assert!(self.state.rename.is_ready(p), "commit of not-ready dest");
                 self.state.arch_regs[rd.index()] = self.state.rename.value(p);
                 if self.state.unit.in_secure_region() {
@@ -1925,10 +2025,10 @@ impl Simulator {
             }
 
             // Memory state.
-            if entry.inst.op.is_load() {
+            if u.has(Uop::LOAD) {
                 self.trace_event(TraceEvent::MemRead { addr: entry.mem_addr });
             }
-            if entry.inst.op.is_store() {
+            if u.has(Uop::STORE) {
                 let s = self.lsq.commit_store(entry.store_id).expect("store present at commit");
                 let addr = s.addr.expect("resolved before done");
                 semantics::store(&mut self.mem, s.width, addr, s.data);
@@ -1938,89 +2038,77 @@ impl Simulator {
             }
 
             // Control state.
-            match entry.inst.op {
-                op if op.is_cond_branch() => {
-                    if entry.is_sjmp {
-                        let was_outside = !self.state.unit.in_secure_region();
-                        // Secure branch: no predictor interaction at all.
-                        let eff = self.state.unit.on_sjmp_commit(
-                            entry.actual_target,
-                            entry.actual_taken,
-                            &self.state.arch_regs,
-                        )?;
-                        // An outermost sJMP commit opens an ROI span.
-                        if was_outside && self.state.config.roi == Roi::Regions {
-                            self.state.roi_open_cycle = Some(self.state.cycle);
-                        }
-                        // Drain #1 + initial snapshot spill: rename resumes
-                        // after the scratchpad transfer. The drainless
-                        // ablation overlaps the spill with execution.
-                        if self.state.config.sempe.drains_enabled {
-                            debug_assert!(self.rename_blocked_on == Some(entry.seq));
-                            self.rename_blocked_on = None;
-                            self.state.rename_stall_until = self.state.cycle + eff.spm_cycles;
-                        }
-                        break; // region boundary: stop committing this cycle
-                    } else {
-                        self.state.bp.commit_cond(entry.pc, entry.ghr_before, entry.actual_taken);
-                        self.trace_event(TraceEvent::BpredUpdate {
-                            pc: entry.pc,
-                            taken: entry.actual_taken,
-                        });
+            if u.has(Uop::COND_BRANCH) {
+                if entry.is_sjmp {
+                    let was_outside = !self.state.unit.in_secure_region();
+                    // Secure branch: no predictor interaction at all.
+                    let eff = self.state.unit.on_sjmp_commit(
+                        entry.actual_target,
+                        entry.actual_taken,
+                        &self.state.arch_regs,
+                    )?;
+                    // An outermost sJMP commit opens an ROI span.
+                    if was_outside && self.state.config.roi == Roi::Regions {
+                        self.state.roi_open_cycle = Some(self.state.cycle);
+                    }
+                    // Drain #1 + initial snapshot spill: rename resumes
+                    // after the scratchpad transfer. The drainless
+                    // ablation overlaps the spill with execution.
+                    if self.state.config.sempe.drains_enabled {
+                        debug_assert!(self.rename_blocked_on == Some(entry.seq));
+                        self.rename_blocked_on = None;
+                        self.state.rename_stall_until = self.state.cycle + eff.spm_cycles;
+                    }
+                    break; // region boundary: stop committing this cycle
+                } else {
+                    self.state.bp.commit_cond(entry.pc, entry.ghr_before, entry.actual_taken);
+                    self.trace_event(TraceEvent::BpredUpdate {
+                        pc: entry.pc,
+                        taken: entry.actual_taken,
+                    });
+                }
+            } else if u.has(Uop::JALR) {
+                let is_ret = u.inst.rd == Reg::X0 && u.inst.rs1 == Reg::RA;
+                if !is_ret {
+                    self.state.bp.commit_indirect(entry.pc, entry.ghr_before, entry.actual_target);
+                }
+            } else if u.has(Uop::EOS) {
+                debug_assert!(self.rob.is_empty(), "eosJMP commits into a drained window");
+                let eff = self.state.unit.on_eosjmp_commit(&mut self.state.arch_regs)?;
+                // Resynchronize the physical file with the restored
+                // architectural state (window is empty, so this is the
+                // hardware's RAT rebuild).
+                for r in Reg::all() {
+                    self.state.rename.poke_arch(r, self.state.arch_regs[r.index()]);
+                }
+                let target = eff.redirect.unwrap_or(entry.pc + Addr::from(u.len));
+                self.redirect_fetch(target);
+                self.state.last_fetch_line = None;
+                self.state.fetch_stall_until =
+                    self.state.cycle + self.state.config.core.eos_redirect_penalty + eff.spm_cycles;
+                self.trace_event(TraceEvent::Redirect { target });
+                // The eosJMP that returns to depth zero closes the
+                // region's ROI span, and (tiered) re-opens the
+                // fast-forward gate unless an explicit window says
+                // otherwise. The machine is quiesced right after
+                // this commit — the natural handoff point.
+                if !self.state.unit.in_secure_region() {
+                    if self.state.config.roi == Roi::Regions {
+                        self.close_roi_span();
+                    }
+                    if self.state.config.stepping == Stepping::Tiered {
+                        self.state.tier_detailed = !self.ff_permitted();
                     }
                 }
-                Opcode::Jalr => {
-                    let is_ret = entry.inst.rd == Reg::X0 && entry.inst.rs1 == Reg::RA;
-                    if !is_ret {
-                        self.state.bp.commit_indirect(
-                            entry.pc,
-                            entry.ghr_before,
-                            entry.actual_target,
-                        );
-                    }
-                }
-                Opcode::EosJmp => {
-                    debug_assert!(self.rob.is_empty(), "eosJMP commits into a drained window");
-                    let eff = self.state.unit.on_eosjmp_commit(&mut self.state.arch_regs)?;
-                    // Resynchronize the physical file with the restored
-                    // architectural state (window is empty, so this is the
-                    // hardware's RAT rebuild).
-                    for r in Reg::all() {
-                        self.state.rename.poke_arch(r, self.state.arch_regs[r.index()]);
-                    }
-                    let target = eff.redirect.unwrap_or_else(|| entry.next_pc());
-                    self.state.fetch_pc = target;
-                    self.state.fetch_block = FetchBlock::None;
-                    self.state.last_fetch_line = None;
-                    self.state.fetch_stall_until = self.state.cycle
-                        + self.state.config.core.eos_redirect_penalty
-                        + eff.spm_cycles;
-                    self.trace_event(TraceEvent::Redirect { target });
-                    // The eosJMP that returns to depth zero closes the
-                    // region's ROI span, and (tiered) re-opens the
-                    // fast-forward gate unless an explicit window says
-                    // otherwise. The machine is quiesced right after
-                    // this commit — the natural handoff point.
-                    if !self.state.unit.in_secure_region() {
-                        if self.state.config.roi == Roi::Regions {
-                            self.close_roi_span();
-                        }
-                        if self.state.config.stepping == Stepping::Tiered {
-                            self.state.tier_detailed = !self.ff_permitted();
-                        }
-                    }
-                    break; // drain boundary
-                }
-                Opcode::Halt => {
-                    self.state.halted = true;
-                    self.state.trace.total_cycles = self.state.cycle;
-                    // A HALT inside an open ROI (window never closed, or
-                    // a region left unterminated) closes the span here
-                    // so partial ROIs are still accounted.
-                    self.close_roi_span();
-                    break;
-                }
-                _ => {}
+                break; // drain boundary
+            } else if u.has(Uop::HALT) {
+                self.state.halted = true;
+                self.state.trace.total_cycles = self.state.cycle;
+                // A HALT inside an open ROI (window never closed, or
+                // a region left unterminated) closes the span here
+                // so partial ROIs are still accounted.
+                self.close_roi_span();
+                break;
             }
         }
         Ok(())
@@ -2034,6 +2122,23 @@ impl Simulator {
             self.state.roi_spans.push((open, self.state.cycle));
         }
     }
+}
+
+/// The cycles each [`LatClass`] takes under `l`, indexed by class.
+fn lat_table(l: &LatencyConfig) -> [u64; LatClass::COUNT] {
+    let mut table = [0; LatClass::COUNT];
+    for (class, cycles) in [
+        (LatClass::Alu, l.alu),
+        (LatClass::Mul, l.mul),
+        (LatClass::Div, l.div),
+        (LatClass::FpAdd, l.fp_add),
+        (LatClass::FpMul, l.fp_mul),
+        (LatClass::FpDiv, l.fp_div),
+        (LatClass::Branch, l.branch),
+    ] {
+        table[class as usize] = cycles;
+    }
+    table
 }
 
 /// A self-contained snapshot of a quiesced [`Simulator`]: a copy of its

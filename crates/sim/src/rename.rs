@@ -12,7 +12,7 @@ pub type PhysReg = u16;
 pub type RatCheckpoint = [PhysReg; NUM_ARCH_REGS];
 
 /// Rename state: RAT + physical register files + free lists.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct RenameState {
     rat: RatCheckpoint,
     vals: Vec<u64>,
@@ -21,6 +21,8 @@ pub struct RenameState {
     free_fp: Vec<PhysReg>,
     int_count: usize,
 }
+
+clone_in_place!(RenameState { rat, vals, ready, free_int, free_fp, int_count });
 
 impl RenameState {
     /// Build rename state with the given pool sizes, mapping every
@@ -33,23 +35,44 @@ impl RenameState {
     /// (needs ≥ 32 INT and ≥ 16 FP).
     #[must_use]
     pub fn new(int_count: usize, fp_count: usize, initial: &[u64; NUM_ARCH_REGS]) -> Self {
-        assert!(int_count >= 32 && fp_count >= 16, "physical pools too small");
-        let total = int_count + fp_count;
         let mut state = RenameState {
             rat: [0; NUM_ARCH_REGS],
-            vals: vec![0; total],
-            ready: vec![false; total],
-            free_int: (0..int_count as PhysReg).rev().collect(),
-            free_fp: (int_count as PhysReg..total as PhysReg).rev().collect(),
+            vals: Vec::new(),
+            ready: Vec::new(),
+            free_int: Vec::new(),
+            free_fp: Vec::new(),
             int_count,
         };
-        for r in Reg::all() {
-            let p = state.alloc(r.is_fp()).expect("pool sized above");
-            state.rat[r.index()] = p;
-            state.vals[p as usize] = initial[r.index()];
-            state.ready[p as usize] = true;
-        }
+        state.reset(int_count, fp_count, initial);
         state
+    }
+
+    /// Become `RenameState::new(int_count, fp_count, initial)`, refilling
+    /// the register files and free lists in place.
+    ///
+    /// # Panics
+    ///
+    /// As [`RenameState::new`].
+    pub fn reset(&mut self, int_count: usize, fp_count: usize, initial: &[u64; NUM_ARCH_REGS]) {
+        assert!(int_count >= 32 && fp_count >= 16, "physical pools too small");
+        let total = int_count + fp_count;
+        let RenameState { rat, vals, ready, free_int, free_fp, int_count: count } = self;
+        *rat = [0; NUM_ARCH_REGS];
+        vals.clear();
+        vals.resize(total, 0);
+        ready.clear();
+        ready.resize(total, false);
+        free_int.clear();
+        free_int.extend((0..int_count as PhysReg).rev());
+        free_fp.clear();
+        free_fp.extend((int_count as PhysReg..total as PhysReg).rev());
+        *count = int_count;
+        for r in Reg::all() {
+            let p = self.alloc(r.is_fp()).expect("pool sized above");
+            self.rat[r.index()] = p;
+            self.vals[p as usize] = initial[r.index()];
+            self.ready[p as usize] = true;
+        }
     }
 
     /// Is `p` a floating-point physical register?

@@ -7,7 +7,6 @@
 //! also carries its pending completion's payload (`wb` + `result`), so
 //! the completion queue only schedules `(seq, slot)` pairs.
 
-use sempe_isa::insn::Inst;
 use sempe_isa::Addr;
 
 use crate::bpred::RasHandle;
@@ -42,8 +41,9 @@ pub struct RobEntry {
     pub seq: u64,
     /// Instruction address.
     pub pc: Addr,
-    /// Decoded instruction.
-    pub inst: Inst,
+    /// Index of the instruction's record in the decoded program
+    /// ([`sempe_isa::program::DecodedProgram::uop`]).
+    pub uop: u32,
     /// Predicted next PC for taken/indirect flows.
     pub pred_target: Addr,
     /// Global history before this branch's outcome was inserted.
@@ -64,8 +64,6 @@ pub struct RobEntry {
     /// RAS snapshot (after this instruction's own push/pop), for
     /// branches that can mispredict.
     pub ras: Option<RasHandle>,
-    /// Encoded length (for next-PC arithmetic).
-    pub len: u8,
     /// Execution finished; eligible for commit.
     pub done: bool,
     /// Predicted direction (conditional branches).
@@ -83,13 +81,13 @@ pub struct RobEntry {
 }
 
 impl RobEntry {
-    /// A fresh entry for a fetched instruction.
+    /// A fresh entry for the fetched instruction whose record is `uop`.
     #[must_use]
-    pub fn new(seq: u64, pc: Addr, inst: Inst, len: u8) -> Self {
+    pub fn new(seq: u64, pc: Addr, uop: u32) -> Self {
         RobEntry {
             seq,
             pc,
-            inst,
+            uop,
             pred_target: 0,
             ghr_before: 0,
             actual_target: 0,
@@ -99,7 +97,6 @@ impl RobEntry {
             phys_dest: None,
             old_phys: None,
             ras: None,
-            len,
             done: false,
             pred_taken: false,
             actual_taken: false,
@@ -108,12 +105,6 @@ impl RobEntry {
             div_fault: false,
             wb: Writeback::None,
         }
-    }
-
-    /// The fall-through address.
-    #[must_use]
-    pub fn next_pc(&self) -> Addr {
-        self.pc + u64::from(self.len)
     }
 }
 
@@ -278,10 +269,9 @@ impl Rob {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sempe_isa::opcode::Opcode;
 
     fn entry(seq: u64) -> RobEntry {
-        RobEntry::new(seq, 0x1000 + seq * 4, Inst::nullary(Opcode::Nop), 1)
+        RobEntry::new(seq, 0x1000 + seq * 4, seq as u32)
     }
 
     #[test]

@@ -59,8 +59,7 @@
 use std::time::Instant;
 
 use sempe_isa::mem::Memory;
-use sempe_isa::opcode::Opcode;
-use sempe_isa::program::DecodedProgram;
+use sempe_isa::program::{DecodedProgram, Uop, NO_INST};
 use sempe_isa::reg::NUM_ARCH_REGS;
 use sempe_isa::semantics::{self, Observer};
 use sempe_isa::{Addr, ExecError};
@@ -271,6 +270,8 @@ pub(crate) struct FastForward<'a> {
     pub warm: FullWarmup<'a>,
     /// Current fetch PC (in/out).
     pub pc: Addr,
+    /// Index of the instruction at `pc`, or [`NO_INST`] (in/out).
+    pub index: u32,
     /// Global committed-instruction counter (in/out).
     pub committed: u64,
     /// Instructions executed by this segment (out).
@@ -286,10 +287,11 @@ impl FastForward<'_> {
             if !ff_window_allows(roi, self.committed) {
                 return FfStop::Boundary;
             }
-            let Some((inst, len)) = self.prog.try_fetch(self.pc) else {
+            if self.index == NO_INST {
                 return FfStop::Boundary;
-            };
-            if inst.secure || inst.op == Opcode::Halt {
+            }
+            let u = self.prog.uop(self.index);
+            if u.inst.secure || u.has(Uop::HALT) {
                 return FfStop::Boundary;
             }
             if self.committed >= budget {
@@ -309,8 +311,21 @@ impl FastForward<'_> {
                 self.warm.fetch_line(self.pc);
                 *self.last_fetch_line = Some(line);
             }
-            match semantics::step(inst, len, self.pc, self.regs, self.mem, &mut self.warm) {
-                Ok(next) => self.pc = next,
+            let len = usize::from(u.len);
+            match semantics::step(u.inst, len, self.pc, self.regs, self.mem, &mut self.warm) {
+                Ok(next) => {
+                    // Step by index: the fall-through and the direct
+                    // target are in the record; only a computed target
+                    // (`jalr`) goes through the address map.
+                    self.index = if next == self.pc + len as Addr {
+                        u.next_index
+                    } else if next == u.target && u.target_index != NO_INST {
+                        u.target_index
+                    } else {
+                        self.prog.index_of(next)
+                    };
+                    self.pc = next;
+                }
                 Err(fault) => return FfStop::Fault(fault),
             }
             self.committed += 1;

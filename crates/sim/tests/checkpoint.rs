@@ -264,3 +264,72 @@ fn restore_leaves_nothing_of_the_previous_program_and_stepping_mode() {
         assert_eq!(first_divergence(cold.trace(), sim.trace(), Strictness::Full), None, "{what}");
     }
 }
+
+/// Everything a finished run leaves readable: the whole statistics
+/// block, ROI spans, architectural registers, outputs and the trace.
+#[derive(Debug, PartialEq)]
+struct FullFacts {
+    stats: sempe_sim::SimStats,
+    roi_spans: Vec<(u64, u64)>,
+    regs: Vec<u64>,
+    outputs: Vec<u64>,
+    trace: sempe_core::trace::ObservationTrace,
+}
+
+fn run_full(sim: &mut Simulator, cw: &CompiledWorkload) -> FullFacts {
+    let stats = sim.run(FUEL).expect("halts").stats;
+    FullFacts {
+        stats,
+        roi_spans: sim.roi_spans().to_vec(),
+        regs: sempe_isa::reg::Reg::all().map(|r| sim.arch_reg(r)).collect(),
+        outputs: cw.read_outputs(sim.mem()),
+        trace: sim.trace().clone(),
+    }
+}
+
+#[test]
+fn restore_in_place_across_geometries_and_data_images_matches_fresh_machines() {
+    // One worker simulator restores checkpoints whose machines differ in
+    // cache sizes, TAGE table sizes and ROB size, and whose programs
+    // share their code but not their data images. Each restored run must
+    // equal both a machine built from the checkpoint and a cold build.
+    let parsed = parse_wir(MODEXP).expect("parses");
+    let vid = parsed.secrets[0];
+    let mut other = parsed.program.clone();
+    other.set_var_init(vid, 0b0110);
+    let a = compile(&parsed.program, Backend::Sempe).expect("compiles");
+    let b = compile(&other, Backend::Sempe).expect("compiles");
+    assert_eq!(a.program().code(), b.program().code(), "same code");
+    assert_ne!(a.program().data(), b.program().data(), "different data images");
+
+    let base = SimConfig::paper().with_trace();
+    let mut small_caches = base;
+    small_caches.mem.l2.size_bytes /= 4;
+    small_caches.mem.dl1.size_bytes /= 2;
+    let mut big_caches = base;
+    big_caches.mem.l2.size_bytes *= 2;
+    big_caches.mem.il1.ways *= 2;
+    let mut small_tage = base;
+    small_tage.bpred.tage_table_bits -= 2;
+    small_tage.bpred.bimodal_bits -= 3;
+    let mut small_rob = base;
+    small_rob.core.rob_entries = 64;
+
+    let mut trials = Vec::new();
+    for config in [base, small_caches, big_caches, small_tage, small_rob, base] {
+        for cw in [&a, &b] {
+            let cold = run_full(&mut Simulator::new(cw.program(), config).expect("builds"), cw);
+            let cp = Simulator::new(cw.program(), config).expect("builds").checkpoint().unwrap();
+            trials.push((cw, cp, cold));
+        }
+    }
+    let mut worker = Simulator::new(a.program(), base).expect("builds");
+    for round in 0..2 {
+        for (i, (cw, cp, cold)) in trials.iter().enumerate() {
+            worker.restore_from(cp);
+            assert_eq!(&run_full(&mut worker, cw), cold, "round {round} trial {i}: restore");
+            let built = run_full(&mut Simulator::from_checkpoint(cp), cw);
+            assert_eq!(&built, cold, "round {round} trial {i}: from_checkpoint");
+        }
+    }
+}
