@@ -78,24 +78,11 @@ pub enum TraceEvent {
 }
 
 /// A timestamped sequence of attacker-visible events.
-#[derive(Debug, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ObservationTrace {
     events: Vec<(u64, TraceEvent)>,
     /// Total cycles of the observed execution (the coarse timing channel).
     pub total_cycles: u64,
-}
-
-impl Clone for ObservationTrace {
-    fn clone(&self) -> Self {
-        ObservationTrace { events: self.events.clone(), total_cycles: self.total_cycles }
-    }
-
-    /// Copies into the existing event buffer, so a simulator restored
-    /// from a checkpoint keeps the capacity its last trace grew to.
-    fn clone_from(&mut self, source: &Self) {
-        self.events.clone_from(&source.events);
-        self.total_cycles = source.total_cycles;
-    }
 }
 
 impl ObservationTrace {
@@ -103,12 +90,6 @@ impl ObservationTrace {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Empty the trace, keeping its allocation.
-    pub fn clear(&mut self) {
-        self.events.clear();
-        self.total_cycles = 0;
     }
 
     /// Append an event observed at `cycle`.

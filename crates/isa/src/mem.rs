@@ -20,6 +20,11 @@ use crate::Addr;
 /// exercises for these workloads.
 pub const PAGE_SIZE: usize = 4096;
 
+/// At most this many unmapped pages (2 MiB) are kept for reuse: more
+/// than the largest benchmarked image needs, and a bound on what one
+/// huge job leaves allocated in a long-lived simulator.
+const MAX_SPARE_PAGES: usize = 512;
+
 /// In the last-page cache, marks "no page cached" (no real page can have
 /// this number: addresses are dense in the low 2^52 pages).
 const NO_PAGE: u64 = u64::MAX;
@@ -86,9 +91,10 @@ pub struct Memory {
     /// `(page number, page index)` of pages written since the last sync
     /// point, each recorded once per epoch.
     dirty: Vec<(u64, u32)>,
-    /// Unmapped page allocations kept for reuse: [`Memory::reset`] and
-    /// restores park pages here, and a write to an unmapped page takes
-    /// one (zeroed) before allocating.
+    /// Unmapped page allocations kept for reuse, at most
+    /// [`MAX_SPARE_PAGES`]: [`Memory::reset`] and restores park pages
+    /// here, and a write to an unmapped page takes one (zeroed) before
+    /// allocating.
     spare: Vec<Box<[u8; PAGE_SIZE]>>,
 }
 
@@ -118,13 +124,23 @@ impl Memory {
     /// keeping the page allocations for the next image.
     pub fn reset(&mut self) {
         let Memory { pages, index, last, sync_id, epoch, page_epoch, dirty, spare } = self;
-        spare.append(pages);
+        Self::park(spare, pages.drain(..));
         index.clear();
         last.set((NO_PAGE, 0));
         *sync_id = 0;
         *epoch = 0;
         page_epoch.clear();
         dirty.clear();
+    }
+
+    /// Keep `unmapped` pages as spares, up to [`MAX_SPARE_PAGES`]; free
+    /// the rest.
+    fn park(
+        spare: &mut Vec<Box<[u8; PAGE_SIZE]>>,
+        unmapped: impl Iterator<Item = Box<[u8; PAGE_SIZE]>>,
+    ) {
+        let room = MAX_SPARE_PAGES.saturating_sub(spare.len());
+        spare.extend(unmapped.take(room));
     }
 
     /// A zeroed page: a spare one if there is one, else a new one.
@@ -220,7 +236,7 @@ impl Memory {
                 }
             }
             if self.pages.len() > snap_len {
-                self.spare.extend(self.pages.drain(snap_len..));
+                Self::park(&mut self.spare, self.pages.drain(snap_len..));
             }
             self.page_epoch.truncate(snap_len);
             self.dirty.clear();
@@ -232,7 +248,7 @@ impl Memory {
             // without churning every 4 KiB allocation.
             let want = snap.pages.len();
             if self.pages.len() > want {
-                self.spare.extend(self.pages.drain(want..));
+                Self::park(&mut self.spare, self.pages.drain(want..));
             }
             let reuse = want.saturating_sub(self.pages.len()).min(self.spare.len());
             self.pages.extend(self.spare.drain(self.spare.len() - reuse..));
@@ -398,6 +414,26 @@ fn page_pieces(addr: Addr, len: usize) -> impl Iterator<Item = (Addr, usize, usi
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn reset_starts_over_like_new_and_bounds_the_spare_pages() {
+        let mut m = Memory::new();
+        let pages = MAX_SPARE_PAGES as u64 + 8;
+        for p in 0..pages {
+            m.write_u8(p * PAGE_SIZE as u64, 1);
+        }
+        let _snap = m.snapshot();
+        m.write_u8(0, 2);
+        m.reset();
+        assert_eq!(m.page_count(), 0);
+        assert_eq!(m.read_u8(0), 0, "nothing stays mapped");
+        assert_eq!(m.spare.len(), MAX_SPARE_PAGES, "spares are capped");
+        m.write_u8(PAGE_SIZE as u64 + 8, 5);
+        assert_eq!(m.spare.len(), MAX_SPARE_PAGES - 1, "a write takes a spare page");
+        assert_eq!(m.read_u8(PAGE_SIZE as u64), 0, "a reused page is zeroed");
+        assert_eq!(m.read_u8(PAGE_SIZE as u64 + 8), 5);
+        assert_eq!(m.dirty_page_count(), 0, "a reset memory is untracked");
+    }
 
     #[test]
     fn unmapped_reads_zero_and_do_not_allocate() {

@@ -531,7 +531,9 @@ impl MachineState {
         *tier_detailed = false;
         *roi_open_cycle = None;
         roi_spans.clear();
-        trace.clear();
+        // A fresh trace, not a cleared one: a recorded trace has no size
+        // bound, and its buffer should not outlive the job that grew it.
+        *trace = ObservationTrace::new();
         *stats = SimStats::default();
         *last_commit_cycle = 0;
         Ok(())
